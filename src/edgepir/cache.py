@@ -5,8 +5,9 @@ scheme assigns each file a cached fraction mu_i in {0} or {1/k : k integer};
 a file with mu_i = 1/k is split per stripe into k packets, each packet is
 one symbol of GF(q^{delta_i}), and the k symbols are encoded with an
 (N_sbs, k) MDS storage code so that SBS j stores coordinate j of every
-stripe codeword.  The MBS keeps every file in plaintext and can synthesize
-any coded coordinate on demand.
+stripe codeword.  The MBS keeps every file in plaintext; coordinate c of a
+stripe codeword is the same symbol wherever it is served, so the MBS
+answers from the stored codewords rather than encoding again.
 
 Bit packing is big-endian per packet: the packet's bits, most significant
 first, form the integer encoding of the field element.  Stripes are padded
@@ -22,7 +23,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
-from . import codes, gf
+from . import codes, gf, rates
 
 MAGIC = b"EPIR"
 
@@ -59,15 +60,6 @@ class FileLibrary:
         return cls(files, L, popularity)
 
 
-def _as_mu(value) -> Fraction:
-    mu = Fraction(value)
-    if mu == 0:
-        return mu
-    if mu.numerator != 1:
-        raise ValueError(f"cached fraction must be 0 or 1/k, got {mu}")
-    return mu
-
-
 class CachingScheme:
     """Placement vector mu over N_sbs SBSs with cache budget M files.
 
@@ -79,7 +71,7 @@ class CachingScheme:
                  allow_full_spread: bool = False):
         self.N_sbs = N_sbs
         self.M = Fraction(M)
-        self.mu = [_as_mu(m) for m in mu]
+        self.mu = rates._check_mu(mu)
         self.q = q
         if sum(self.mu) > self.M:
             raise ValueError("placement exceeds cache budget: sum(mu) > M")
@@ -115,19 +107,7 @@ class CachingScheme:
         k = self.k[file_index]
         if k == 0:
             raise ValueError("file is not cached")
-        field = gf.make_field(self.q)
-        n = self.N_sbs
-        if n <= field.order - 1:
-            return codes.grs(field, n, k)
-        # the field has too few evaluation points for GRS; the repetition
-        # and single parity-check codes are still MDS over any field
-        if k == 1:
-            return codes.repetition_code(field, n)
-        if k == n - 1:
-            return codes.spc_code(field, n)
-        raise ValueError(
-            f"no (n={n}, k={k}) MDS storage code available over GF({self.q}); "
-            "use a larger field")
+        return codes.mds_code(gf.make_field(self.q), self.N_sbs, k)
 
 
 def packing_params(scheme: CachingScheme, L: int) -> tuple[int, dict, int]:
@@ -249,17 +229,10 @@ class EncodedCache:
         return out
 
     def mbs_column(self, coord: int) -> list[int]:
-        """Synthesize storage-code coordinate ``coord`` at the MBS from the
-        plaintext library (same layout as cache_column)."""
-        big = self.symbol_field
-        out = []
-        for i in self.scheme.cached_files():
-            code = self.codes[i]
-            small = self.fields[i]
-            for a in range(self.library.beta):
-                row = self._encode_row(code, self.messages[i][a], small)
-                out.append(gf.embed(row[coord], small, big))
-        return out
+        """Storage-code coordinate ``coord`` as served by the MBS for a
+        protocol coordinate no in-range SBS covers: the stored codeword
+        coordinate, identical to cache_column(coord)."""
+        return self.cache_column(coord)
 
     def decode_file(self, i: int, coords: Sequence[int],
                     symbols_by_stripe: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -268,13 +241,11 @@ class EncodedCache:
         code = self.codes[i]
         field = self.fields[i]
         out = []
-        for a, syms in enumerate(symbols_by_stripe):
+        for syms in symbols_by_stripe:
             word: list[Optional[int]] = [None] * code.n
             for c, s in zip(coords, syms):
                 word[c] = s
-            cw = codes.erasure_decode(code, word, symbol_field=field)
-            Gt = [list(r) for r in zip(*[[gf.embed(x, code.field, field) for x in row] for row in code.G])]
-            msg = gf.solve(field, Gt, cw)
+            msg = codes.solve_message(code, word, symbol_field=field)
             out.append(unpack_stripe(msg, field, self.library.L))
         return out
 
@@ -285,6 +256,10 @@ class EncodedCache:
 # byte-aligned per stripe) then cached symbols (file-major, stripe-major,
 # coordinate-minor, fixed width per file)
 # ---------------------------------------------------------------------------
+
+class SnapshotError(ValueError):
+    """An unreadable, truncated, incomplete or inconsistent snapshot."""
+
 
 def save_snapshot(path: str, cache: EncodedCache) -> None:
     lib, scheme = cache.library, cache.scheme
@@ -312,8 +287,7 @@ def save_snapshot(path: str, cache: EncodedCache) -> None:
             val <<= (stripe_bytes * 8 - lib.L)
             body += val.to_bytes(stripe_bytes, "big")
     for i in scheme.cached_files():
-        width = (cache.fields[i].order - 1).bit_length()
-        width = (width + 7) // 8
+        width = ((cache.fields[i].order - 1).bit_length() + 7) // 8
         for a in range(lib.beta):
             for s in cache.symbols[i][a]:
                 body += s.to_bytes(width, "big")
@@ -325,13 +299,31 @@ def save_snapshot(path: str, cache: EncodedCache) -> None:
 
 
 def load_snapshot(path: str) -> EncodedCache:
-    with open(path, "rb") as fh:
-        if fh.read(4) != MAGIC:
-            raise ValueError("not a cache snapshot file")
-        (hlen,) = struct.unpack(">I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode())
-        body = fh.read()
+    """Read a snapshot back, re-encoding its library to check the stored
+    symbols; raises SnapshotError unless the file is complete and consistent."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as e:
+        raise SnapshotError(f"cannot read snapshot: {e}")
+    if data[:4] != MAGIC:
+        raise SnapshotError("not a cache snapshot file")
+    end = 8 + int.from_bytes(data[4:8], "big")  # header end
+    if len(data) < end:
+        raise SnapshotError(f"snapshot header truncated: {len(data)} of {end} bytes")
+    try:
+        header = json.loads(data[8:end])
+    except ValueError as e:
+        raise SnapshotError(f"snapshot header is not valid JSON: {e}")
+    missing = [k for k in ("q", "F", "beta", "L", "N_sbs", "M", "mu", "popularity")
+               if not isinstance(header, dict) or k not in header]
+    if missing:
+        raise SnapshotError(f"snapshot header lacks {', '.join(missing)}")
+    body = data[end:]
     F, beta, L = header["F"], header["beta"], header["L"]
+    scheme = CachingScheme(header["N_sbs"], Fraction(header["M"]),
+                           [Fraction(m) for m in header["mu"]], q=header["q"],
+                           allow_full_spread=header.get("allow_full_spread", False))
     stripe_bytes = (L + 7) // 8
     files = []
     off = 0
@@ -344,17 +336,19 @@ def load_snapshot(path: str) -> EncodedCache:
             stripes.append([(val >> (L - 1 - t)) & 1 for t in range(L)])
         files.append(stripes)
     lib = FileLibrary(files, L, header["popularity"])
-    scheme = CachingScheme(header["N_sbs"], Fraction(header["M"]),
-                           [Fraction(m) for m in header["mu"]], q=header["q"],
-                           allow_full_spread=header.get("allow_full_spread", False))
     cache = EncodedCache(lib, scheme)
+    widths = {i: ((f.order - 1).bit_length() + 7) // 8 for i, f in cache.fields.items()}
+    expected = off + beta * scheme.N_sbs * sum(widths.values())
+    if len(body) != expected:
+        problem = "truncated" if len(body) < expected else "too long"
+        raise SnapshotError(f"snapshot body {problem}: {len(body)} of {expected} bytes")
     # verify stored symbols match re-encoding (corruption check)
     for i in scheme.cached_files():
-        width = ((cache.fields[i].order - 1).bit_length() + 7) // 8
+        width = widths[i]
         for a in range(beta):
             for s in cache.symbols[i][a]:
                 stored = int.from_bytes(body[off:off + width], "big")
                 off += width
                 if stored != s:
-                    raise ValueError("snapshot symbols inconsistent with library")
+                    raise SnapshotError("snapshot symbols inconsistent with library")
     return cache

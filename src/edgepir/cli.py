@@ -4,8 +4,8 @@ Subcommands: encode, retrieve, rates, optimize, sweep, verify-privacy,
 simulate.  Experiments are described by a JSON config (--config) or by a
 named built-in preset (--preset fig2..fig6).  Output tables are CSV.
 
-Exit codes: 0 success, 2 config error, 3 constraint violation,
-4 verification failure.
+Exit codes: 0 success, 2 config or snapshot error, 3 constraint
+violation, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -81,16 +81,19 @@ def build_library(cfg: dict, rng) -> cache_mod.FileLibrary:
     return cache_mod.FileLibrary.random(lib["F"], lib["beta"], lib["L"], p, rng)
 
 
+def build_placement(sc: dict, F: int) -> list[Fraction]:
+    """Placement mu from 'mu', or 'k' for the 'files_cached' (default F) first files."""
+    if "mu" in sc:
+        return [Fraction(m) for m in sc["mu"]]
+    if "k" in sc:
+        cached = sc.get("files_cached", F)
+        return [Fraction(1, sc["k"])] * cached + [Fraction(0)] * (F - cached)
+    raise ConfigError("scheme needs 'mu' or 'k'")
+
+
 def build_scheme(cfg: dict, F: int) -> cache_mod.CachingScheme:
     sc = cfg["scheme"]
-    if "mu" in sc:
-        mu = [Fraction(m) for m in sc["mu"]]
-    elif "k" in sc:
-        cached = sc.get("files_cached", F)
-        mu = [Fraction(1, sc["k"])] * cached + [Fraction(0)] * (F - cached)
-    else:
-        raise ConfigError("scheme needs 'mu' or 'k'")
-    return cache_mod.CachingScheme(sc["N_sbs"], Fraction(sc["M"]), mu,
+    return cache_mod.CachingScheme(sc["N_sbs"], Fraction(sc["M"]), build_placement(sc, F),
                                    q=sc.get("q", 2),
                                    allow_full_spread=sc.get("allow_full_spread", False))
 
@@ -156,12 +159,7 @@ def cmd_rates(args) -> int:
     gamma = build_gamma(cfg["topology"], args.seed)
     p = build_popularity(cfg["library"])
     sc = cfg["scheme"]
-    F = cfg["library"]["F"]
-    if "mu" in sc:
-        mu = [Fraction(m) for m in sc["mu"]]
-    else:
-        cached = sc.get("files_cached", F)
-        mu = [Fraction(1, sc["k"])] * cached + [Fraction(0)] * (F - cached)
+    mu = build_placement(sc, cfg["library"]["F"])
     T = sc.get("T", 1)
     n = cfg.get("protocol", {}).get("n")
     theta = sc.get("theta", 0.0)
@@ -317,6 +315,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    except cache_mod.SnapshotError as e:
+        print(f"snapshot error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (ValueError, KeyError) as e:
         print(f"constraint violation: {e}", file=sys.stderr)

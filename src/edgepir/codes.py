@@ -24,8 +24,8 @@ class LinearCode:
 
     The parity-check matrix H is computed from the null space of G and
     satisfies G Ht = 0.  ``mds`` is True when the code is known to be
-    maximum distance separable (always for GRS; verified exhaustively for
-    generic generators when n is small, else None for unknown).
+    maximum distance separable (always for GRS; for generic generators
+    checked exhaustively on first read when n is small, else None).
     """
 
     def __init__(self, field: Field, G: list, mds: Optional[bool] = None):
@@ -36,15 +36,16 @@ class LinearCode:
             raise ValueError("generator matrix is rank deficient")
         self.G = [list(r) for r in G]
         self.H = gf.null_space(field, self.G)
-        if mds is None and self.n <= 12:
-            mds = self._check_mds()
-        self.mds = mds
+        self._mds = mds
+
+    @property
+    def mds(self) -> Optional[bool]:
+        if self._mds is None and self.n <= 12:
+            self._mds = self._check_mds()
+        return self._mds
 
     def _check_mds(self) -> bool:
-        return all(
-            gf.rank(self.field, [[row[c] for c in I] for row in self.G]) == self.k
-            for I in combinations(range(self.n), self.k)
-        )
+        return all(is_information_set(self, I) for I in combinations(range(self.n), self.k))
 
     def encode(self, message: Sequence[int]) -> list[int]:
         if len(message) != self.k:
@@ -108,6 +109,20 @@ def grs(field: Field, n: int, k: int, v: Optional[Sequence[int]] = None,
     return GrsCode(field, n, k, v, kappa)
 
 
+def mds_code(field: Field, n: int, k: int,
+             kappa: Optional[Sequence[int]] = None) -> LinearCode:
+    """(n, k) MDS code: GRS if the field has n nonzero evaluation points,
+    else the repetition (k = 1) or single parity-check (k = n - 1) code."""
+    if n <= field.order - 1:
+        return grs(field, n, k, kappa=kappa)
+    if k == 1:
+        return repetition_code(field, n)
+    if k == n - 1:
+        return spc_code(field, n)
+    raise ValueError(f"no (n={n}, k={k}) MDS code available over "
+                     f"GF({field.order}); use a larger field")
+
+
 def from_generator(field: Field, G: list, mds: Optional[bool] = None) -> LinearCode:
     return LinearCode(field, G, mds=mds)
 
@@ -140,7 +155,8 @@ def puncture(code: LinearCode, keep_coords: Sequence[int]) -> LinearCode:
     if isinstance(code, GrsCode):
         return GrsCode(code.field, len(keep), code.k,
                        [code.v[c] for c in keep], [code.kappa[c] for c in keep])
-    return LinearCode(code.field, G, mds=code.mds if len(keep) <= 12 else None)
+    # puncturing keeps an MDS code MDS; anything else is checked on read
+    return LinearCode(code.field, G, mds=True if code._mds else None)
 
 
 def _transpose(A: list) -> list:
@@ -191,27 +207,32 @@ def correctable(code: LinearCode, pattern: Sequence[int]) -> bool:
     return gf.rank(code.field, sub) == len(chi)
 
 
-def erasure_decode(code: LinearCode, word: Sequence[Optional[int]],
-                   symbol_field: Optional[Field] = None) -> list[int]:
-    """Recover the unique codeword agreeing with ``word`` on its non-None
-    coordinates.
-
-    ``symbol_field`` lets symbols live in an extension of the code's field
-    (the code's generator entries are embedded); defaults to the code field.
-    """
+def solve_message(code: LinearCode, word: Sequence[Optional[int]],
+                  symbol_field: Optional[Field] = None) -> list[int]:
+    """The message m whose codeword m G agrees with ``word`` on its
+    non-None coordinates, by one elimination.  ``symbol_field`` lets symbols
+    live in an extension of the code's field (generator entries are
+    embedded); defaults to the code field."""
     F = symbol_field or code.field
     known = [j for j, w in enumerate(word) if w is not None]
-    Gk = [[gf.embed(row[c], code.field, F) for c in known] for row in code.G]
-    # message m with m G|_known = word|_known, i.e. (G|_known)^T m = b
-    A = _transpose(Gk)
-    try:
-        msg = gf.solve(F, A, [word[c] for c in known])
-    except gf.NoSolution:
+    # (G|_known)^T m = word|_known, augmented with the right-hand side
+    aug = [[gf.embed(row[c], code.field, F) for row in code.G] + [word[c]]
+           for c in known]
+    R, pivots = gf.rref(F, aug)
+    if code.k in pivots:
         raise ValueError("received symbols are not consistent with the code")
-    if gf.rank(F, A) < code.k:
+    if len(pivots) < code.k:
         raise ValueError("erasure pattern not decodable: no information set survives")
-    Gfull = [[gf.embed(x, code.field, F) for x in row] for row in code.G]
-    return gf.mat_vec(F, _transpose(Gfull), msg)
+    return [R[i][code.k] for i in range(code.k)]
+
+
+def erasure_decode(code: LinearCode, word: Sequence[Optional[int]],
+                   symbol_field: Optional[Field] = None) -> list[int]:
+    """The unique codeword agreeing with ``word`` on its non-None
+    coordinates (see :func:`solve_message`)."""
+    F = symbol_field or code.field
+    Gt = [[gf.embed(x, code.field, F) for x in col] for col in zip(*code.G)]
+    return gf.mat_vec(F, Gt, solve_message(code, word, symbol_field))
 
 
 def dual_min_distance(code: LinearCode) -> int:

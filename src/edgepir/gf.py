@@ -382,6 +382,7 @@ def _common_base(f: Field) -> Field:
 
 
 def embedding_degrees(src: Field, dst: Field) -> tuple[int, int]:
+    """(degree of src, degree of dst) over their common base; src must embed."""
     if isinstance(dst, ExtField) and src == dst.base:
         # src is the coefficient field of dst: a degree-1 inclusion
         return 1, dst.degree
@@ -389,6 +390,8 @@ def embedding_degrees(src: Field, dst: Field) -> tuple[int, int]:
         raise ValueError("fields are not extensions of a common base")
     ds = src.degree if isinstance(src, ExtField) else 1
     dd = dst.degree if isinstance(dst, ExtField) else 1
+    if dd % ds != 0:
+        raise ValueError(f"degree {ds} does not divide {dd}")
     return ds, dd
 
 
@@ -401,9 +404,7 @@ def embed(x: int, src: Field, dst: Field) -> int:
     """
     if src == dst:
         return x
-    ds, dd = embedding_degrees(src, dst)
-    if dd % ds != 0:
-        raise ValueError(f"degree {ds} does not divide {dd}")
+    ds, _ = embedding_degrees(src, dst)
     if ds == 1:
         return x  # base-field constants are the same ints in dst
     fwd, _ = _embedding_maps(src, dst)
@@ -417,9 +418,7 @@ def project(y: int, src: Field, dst: Field) -> int:
     """
     if src == dst:
         return y
-    ds, dd = embedding_degrees(src, dst)
-    if dd % ds != 0:
-        raise ValueError(f"degree {ds} does not divide {dd}")
+    ds, _ = embedding_degrees(src, dst)
     if ds == 1:
         if y >= src.order:
             raise ValueError("element not in subfield image")
@@ -448,7 +447,8 @@ def _multiplicative_generator(F) -> int:
 
 
 def _embedding_maps(src: ExtField, dst: Field) -> tuple[list[int], dict]:
-    assert isinstance(dst, ExtField)
+    if not isinstance(dst, ExtField):
+        raise ValueError("target field has no proper subfield to embed into")
     key = (hash(src), src.order)
     if key in dst._embed_maps:
         return dst._embed_maps[key]

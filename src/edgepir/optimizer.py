@@ -65,11 +65,6 @@ class _GammaSums:
         return self.first_moment[m] + n * (self.total - self.cdf[m])
 
 
-def _mbs_coord_sum(gamma: list, n: int) -> float:
-    """Expected count of protocol coordinates the MBS must answer."""
-    return sum(gb * (n - min(b, n)) for b, gb in enumerate(gamma))
-
-
 def optimize_pir(p: Sequence[float], gamma, M, T: int,
                  k_candidates: Optional[Sequence[int]] = None,
                  n_cap: Optional[int] = None, theta: float = 0.0) -> Optimum:
@@ -129,7 +124,7 @@ def popular_pir(p: Sequence[float], gamma, M: int, T: int,
     table = []
     best = None
     for n in range(T + 1, cap + 1):
-        obj = P[M] * _mbs_coord_sum(g, n) / (n - T) + (P[F] - P[M])
+        obj = P[M] * rates.expected_mbs_coords(g, n) / (n - T) + (P[F] - P[M])
         table.append({"k": 1, "n": n, "files_cached": M, "value": obj})
         if best is None or obj < best["value"] - SLACK:
             best = table[-1]

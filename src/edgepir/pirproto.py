@@ -26,6 +26,8 @@ from dataclasses import dataclass, field as dfield
 from itertools import product
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import codes, gf
 from .cache import EncodedCache
 
@@ -58,19 +60,6 @@ class ProtocolParams:
         return self.beta * len(self.cached)
 
 
-def _retrieval_randomness_code(field, n: int, T: int,
-                               kappa: Optional[Sequence[int]] = None) -> codes.LinearCode:
-    """(n, T) MDS code with dual distance T+1 used to blind queries."""
-    if n <= field.order - 1:
-        return codes.grs(field, n, T, kappa=kappa)
-    if T == 1:
-        return codes.repetition_code(field, n)
-    if T == n - 1:
-        return codes.spc_code(field, n)
-    raise ValueError(
-        f"no (n={n}, T={T}) blinding code available over GF({field.order})")
-
-
 def plan_protocol(cache: EncodedCache, T: int, n: int,
                   coords: Optional[Sequence[int]] = None) -> ProtocolParams:
     scheme = cache.scheme
@@ -98,7 +87,7 @@ def plan_protocol(cache: EncodedCache, T: int, n: int,
     if scheme.N_sbs <= field.order - 1:
         kappa_global = codes.default_kappa(field, scheme.N_sbs)
         kappa = [kappa_global[c] for c in coords]
-    Cbar = _retrieval_randomness_code(field, n, T, kappa=kappa)
+    Cbar = codes.mds_code(field, n, T, kappa=kappa)  # blinding code
     if codes.dual_min_distance(Cbar) < T + 1:
         raise ValueError("blinding code cannot tolerate T colluders")
     Cprime = {i: codes.puncture(cache.codes[i], coords) for i in cached}
@@ -128,7 +117,8 @@ def build_erasure_matrix(params: ProtocolParams) -> ErasureMatrix:
     J = [[(j + t) % n for t in range(Gamma)] for j in range(d)]
     Ehat = [[1 if l in set(row) else 0 for l in range(n)] for row in J]
     for row in Ehat:
-        assert sum(row) == Gamma
+        if sum(row) != Gamma:
+            raise ValueError("erasure-matrix row does not have weight Gamma")
         if not codes.correctable(params.Ctilde, row):
             raise ValueError("erasure-matrix row not correctable by the retrieval code")
     I_sets, F_sets = build_information_sets(Ehat, params.beta, n, params.d)
@@ -138,7 +128,8 @@ def build_erasure_matrix(params: ProtocolParams) -> ErasureMatrix:
         if len(I) != k_max or not codes.is_information_set(params.Cprime[i_max], sorted(I)):
             raise ValueError("constructed set is not an information set")
     for l in range(n):
-        assert len(F_sets[l]) == sum(Ehat[j][l] for j in range(d))
+        if len(F_sets[l]) != sum(Ehat[j][l] for j in range(d)):
+            raise ValueError(f"coordinate {l} serves the wrong number of stripes")
     return ErasureMatrix(Ehat, J, I_sets, F_sets)
 
 
@@ -268,7 +259,6 @@ def recover(params: ProtocolParams, em: ErasureMatrix, queries: QuerySet,
     stripes, erasure-decode each stripe, and unpack to bits."""
     big = params.big_field
     i = queries.file_index
-    code = params.Cprime[i]
     small = params.cache.fields[i]
     H = params.Ctilde.H
     recovered: dict[tuple[int, int], int] = {}  # (stripe m, coord l) -> symbol
@@ -285,16 +275,11 @@ def recover(params: ProtocolParams, em: ErasureMatrix, queries: QuerySet,
             m = queries.s_assign[(l, j)]
             recovered[(m, l)] = val
     stripes_bits = []
-    from .cache import unpack_stripe
     for m in range(params.beta):
-        word: list[Optional[int]] = [None] * params.n
-        for l in sorted(em.I_sets[m]):
-            word[l] = gf.project(recovered[(m, l)], small, big)
-        cw = codes.erasure_decode(code, word, symbol_field=small)
-        Gt = [list(r) for r in zip(
-            *[[gf.embed(x, code.field, small) for x in row] for row in code.G])]
-        msg = gf.solve(small, Gt, cw)
-        stripes_bits.append(unpack_stripe(msg, small, params.cache.library.L))
+        I = sorted(em.I_sets[m])
+        symbols = [gf.project(recovered[(m, l)], small, big) for l in I]
+        stripes_bits += params.cache.decode_file(
+            i, [params.coords[l] for l in I], [symbols])
     return stripes_bits
 
 
@@ -360,30 +345,35 @@ def _verify_exact(params: ProtocolParams, em: ErasureMatrix,
 def _verify_statistical(params: ProtocolParams, em: ErasureMatrix,
                         coalition: list, sessions: int, rng,
                         level: float) -> dict:
-    import numpy as np
-    from scipy.stats import chi2_contingency
-
     if rng is None:
         rng = np.random.default_rng(0)
+    p_value = chi2_view_test(
+        params, coalition, sessions, rng,
+        lambda iota: generate_queries(params, em, params.cached[iota], rng))
+    return {"mode": "statistical", "p_value": p_value,
+            "reject": bool(p_value < level)}
+
+
+def chi2_view_test(params: ProtocolParams, coalition: Sequence[int],
+                   sessions: int, rng, queries_for) -> float:
+    """p-value of a chi-square test of independence between a coalition's
+    view and the requested file over ``sessions`` sessions, each querying a
+    uniform cached position iota with ``queries_for(iota)``; 1.0 when a
+    single view or file was observed, which carries no information."""
+    from scipy.stats import chi2_contingency
+
     n_files = len(params.cached)
     view_ids: dict = {}
-    table: list[list[int]] = []
+    counts: Counter = Counter()
     for _ in range(sessions):
         iota = int(rng.integers(n_files))
-        qs = generate_queries(params, em, params.cached[iota], rng)
-        v = _view(qs, coalition)
-        if v not in view_ids:
-            view_ids[v] = len(view_ids)
-            for row in table:
-                row.append(0)
-        col = view_ids[v]
-        while len(table) < n_files:
-            table.append([0] * len(view_ids))
-        table[iota][col] += 1
-    arr = np.array(table)
-    arr = arr[arr.sum(axis=1) > 0][:, arr.sum(axis=0) > 0]
-    if arr.shape[0] < 2 or arr.shape[1] < 2:
-        return {"mode": "statistical", "p_value": 1.0, "reject": False}
-    _, p_value, _, _ = chi2_contingency(arr)
-    return {"mode": "statistical", "p_value": float(p_value),
-            "reject": bool(p_value < level)}
+        v = _view(queries_for(iota), coalition)
+        counts[iota, view_ids.setdefault(v, len(view_ids))] += 1
+    table = np.zeros((n_files, len(view_ids)))
+    for (i, c), v in counts.items():
+        table[i, c] = v
+    table = table[table.sum(axis=1) > 0][:, table.sum(axis=0) > 0]
+    if table.shape[0] < 2 or table.shape[1] < 2:
+        return 1.0
+    _, p_value, _, _ = chi2_contingency(table)
+    return float(p_value)

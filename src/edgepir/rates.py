@@ -67,6 +67,11 @@ def _pir_factor(mu_min: Fraction, mu_max: Fraction, n: int, T: int):
     return mu_max / den
 
 
+def expected_mbs_coords(gamma, n: int) -> object:
+    """E[(n - b)^+]: expected protocol coordinates the MBS must answer."""
+    return sum(gb * (n - min(b, n)) for b, gb in enumerate(_gamma_list(gamma)))
+
+
 def backhaul_pir(p: Sequence, mu: Sequence, gamma, n: int, T: int) -> object:
     """Average MBS rate with PIR: the MBS answers the n - b query matrices
     that in-range SBSs cannot, each answer d*L*mu_max bits; uncached files
@@ -77,7 +82,7 @@ def backhaul_pir(p: Sequence, mu: Sequence, gamma, n: int, T: int) -> object:
     if not cached:
         return sum(p)
     factor = _pir_factor(min(cached), max(cached), n, T)
-    mbs_coords = sum(gb * (n - min(b, n)) for b, gb in enumerate(g))
+    mbs_coords = expected_mbs_coords(g, n)
     total = 0
     for pi, mi in zip(p, mu):
         if mi == 0:

@@ -4,8 +4,9 @@ SBSs and the MBS are emulated in-process with explicit request/response
 records so bit accounting is exact and runs are deterministic under a
 seed.  A retrieval session samples the number b of in-range SBSs from the
 coverage distribution, runs the PIR protocol with b real responders and
-n - b MBS-synthesized coordinates, verifies the recovered file, and
-records the bits downloaded from each side.
+n - b coordinates answered by the MBS, verifies the recovered file, and
+records the bits downloaded from each side, counted from the responses the
+session built (monte_carlo checks them against the closed form).
 
 Accounting conventions (normalized by the file size beta*L):
 
@@ -23,8 +24,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import gf, pirproto
+from . import gf, pirproto, rates
 from .cache import EncodedCache
+from .topology import CoverageDistribution
 
 
 @dataclass
@@ -33,10 +35,7 @@ class Network:
     gamma: list  # coverage distribution over the in-range SBS count b
 
     def __post_init__(self):
-        g = self.gamma.gamma if hasattr(self.gamma, "gamma") else list(self.gamma)
-        if abs(sum(g) - 1.0) > 1e-9 or any(x < 0 for x in g):
-            raise ValueError("gamma must be a probability vector")
-        self.gamma = g
+        self.gamma = CoverageDistribution(rates._gamma_list(self.gamma)).gamma
 
     def sample_b(self, rng) -> int:
         return int(rng.choice(len(self.gamma), p=self.gamma))
@@ -63,7 +62,7 @@ class RetrievalTranscript:
 
 
 def response_bits(cache: EncodedCache, d: int) -> int:
-    """Exact size of one response: d subresponses over GF(q^{delta_max})."""
+    """Exact size of one response of d subresponses over GF(q^{delta_max})."""
     _, m = gf.factor_prime_power(cache.scheme.q)
     return d * cache.delta_max * m
 
@@ -126,7 +125,11 @@ def run_retrieval(network: Network, T: int, n: int, file_index: int, rng,
         success = stripes == cache.library.files[file_index]
         if not success:
             raise RuntimeError("recovered file differs from the original")
-    bits_mbs, bits_sbs = transcript_bit_counts(cache, is_cached, b, n, params.d)
+    # measured from the responses built; an uncached file crosses the
+    # backhaul whole and its SBS answers are downloaded and discarded
+    bits = [response_bits(cache, len(r)) for r in responses if r is not None]
+    bits_sbs = sum(bits[:sbs_count])
+    bits_mbs = sum(bits[sbs_count:]) if is_cached else cache.library.beta * cache.library.L
     return RetrievalTranscript(
         file_index, is_cached, b, in_range, coords, n, bits_mbs, bits_sbs,
         success, queries if keep_messages else None,
@@ -187,35 +190,20 @@ def spy_coalition(network: Network, T: int, n: int, coalition: Sequence[int],
     ``sabotage`` disables the blinding randomness (all-zero codewords),
     which should be detected as a privacy failure.
     """
-    from scipy.stats import chi2_contingency
-
-    cache = network.cache
-    params = pirproto.plan_protocol(cache, T, n)
+    params = pirproto.plan_protocol(network.cache, T, n)
     em = pirproto.build_erasure_matrix(params)
     coalition = sorted(coalition)
     if not coalition:
         return {"p_value": 1.0, "reject": False, "sessions": sessions}
-    n_files = len(params.cached)
-    view_ids: dict = {}
-    counts: dict = {}
     zero = [[[0] * params.n for _ in range(params.width)]
             for _ in range(params.d)]
-    for _ in range(sessions):
-        iota = int(rng.integers(n_files))
+
+    def queries_for(iota):
         if sabotage:
-            qs = pirproto._queries_from_codewords(params, em, iota, zero)
-        else:
-            qs = pirproto.generate_queries(params, em, params.cached[iota], rng)
-        v = pirproto._view(qs, coalition)
-        col = view_ids.setdefault(v, len(view_ids))
-        counts[(iota, col)] = counts.get((iota, col), 0) + 1
-    table = np.zeros((n_files, len(view_ids)))
-    for (i, c), v in counts.items():
-        table[i, c] = v
-    table = table[table.sum(axis=1) > 0][:, table.sum(axis=0) > 0]
-    if table.shape[0] < 2 or table.shape[1] < 2:
-        # a single observed view (or file) carries no information
-        return {"p_value": 1.0, "reject": False, "sessions": sessions}
-    _, p_value, _, _ = chi2_contingency(table)
-    return {"p_value": float(p_value), "reject": bool(p_value < level),
+            return pirproto._queries_from_codewords(params, em, iota, zero)
+        return pirproto.generate_queries(params, em, params.cached[iota], rng)
+
+    p_value = pirproto.chi2_view_test(params, coalition, sessions, rng,
+                                      queries_for)
+    return {"p_value": p_value, "reject": bool(p_value < level),
             "sessions": sessions}

@@ -137,18 +137,22 @@ def ppp_gamma(model: PppModel, cutoff: int | None = None) -> CoverageDistributio
     psi = model.psi
     if psi < 0:
         raise ValueError("psi must be non-negative")
+
+    def pmf(b: int) -> float:  # log space: psi^b and b! overflow from psi = 89
+        return math.exp(b * math.log(psi) - psi - math.lgamma(b + 1)) if psi else float(b == 0)
+
     if cutoff is None:
         cutoff = 1
-        while math.exp(-psi) * psi ** cutoff / math.factorial(cutoff) > 1e-12 or cutoff < psi:
+        while pmf(cutoff) > 1e-12 or cutoff < psi:
             cutoff += 1
             if cutoff > 10000:
                 break
-    pmf = [math.exp(-psi) * psi ** b / math.factorial(b) for b in range(cutoff + 1)]
-    tail = 1.0 - sum(pmf)
+    probs = [pmf(b) for b in range(cutoff + 1)]
+    tail = 1.0 - sum(probs)
     if tail > 1e-9:
         raise ValueError("cutoff leaves too much tail mass")
-    s = sum(pmf)
-    return CoverageDistribution([x / s for x in pmf])
+    s = sum(probs)
+    return CoverageDistribution([x / s for x in probs])
 
 
 def sample_coverage(model, rng) -> tuple[tuple[float, float], list[int]]:

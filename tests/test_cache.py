@@ -173,3 +173,14 @@ def test_storage_code_fallbacks():
         bad.storage_code(0)
     grs_scheme = cache.CachingScheme(6, 2, [Fraction(1, 3)], q=8)
     assert isinstance(grs_scheme.storage_code(0), codes.GrsCode)
+
+
+def test_mbs_column_serves_stored_symbols(monkeypatch):
+    """The MBS answers from the stored codewords: no encoding per call."""
+    enc = example_cache()
+
+    def no_encoding(*args):
+        raise AssertionError("mbs_column encoded a stripe")
+
+    monkeypatch.setattr(gf, "mat_vec", no_encoding)
+    assert enc.mbs_column(5) == [0b10011, 1]

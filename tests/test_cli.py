@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from edgepir import cli
+from edgepir import cache, cli
 
 
 def run(argv):
@@ -162,3 +162,54 @@ def test_all_presets_load():
             config = None
         cfg = cli.load_config(A())
         assert isinstance(cfg, dict) and cfg
+
+
+def test_rates_scheme_without_placement_exits_2(tmp_path, capsys):
+    cfg = {"library": {"F": 2, "popularity": [0.5, 0.5]},
+           "topology": {"gamma": [0, 1]},
+           "scheme": {"N_sbs": 6, "M": 1, "T": 1}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run(["rates", "--config", str(path)]) == 2
+    assert "config error: scheme needs 'mu' or 'k'" in capsys.readouterr().err
+
+
+def _rewrite_snapshot(tmp_path, edit):
+    """Encode fig2, apply ``edit`` to the snapshot bytes, and return the
+    path of the edited copy."""
+    snap = tmp_path / "cache.epir"
+    run(["encode", "--preset", "fig2", "--out", str(snap)])
+    data = snap.read_bytes()
+    bad = tmp_path / "bad.epir"
+    bad.write_bytes(edit(data, 8 + int.from_bytes(data[4:8], "big")))
+    with pytest.raises(cache.SnapshotError):
+        cache.load_snapshot(str(bad))
+    return bad
+
+
+def _drop_q(data, body_start):
+    header = json.loads(data[8:body_start])
+    del header["q"]
+    hdr = json.dumps(header).encode()
+    return data[:4] + len(hdr).to_bytes(4, "big") + hdr + data[body_start:]
+
+
+def test_snapshot_missing_header_key_exits_2(tmp_path, capsys):
+    bad = _rewrite_snapshot(tmp_path, _drop_q)
+    capsys.readouterr()
+    assert run(["retrieve", str(bad), "--file", "0"]) == 2
+    assert "snapshot error: snapshot header lacks q" in capsys.readouterr().err
+
+
+def test_snapshot_truncated_header_exits_2(tmp_path, capsys):
+    bad = _rewrite_snapshot(tmp_path, lambda data, body: data[:body - 10])
+    capsys.readouterr()
+    assert run(["retrieve", str(bad), "--file", "0"]) == 2
+    assert "snapshot error: snapshot header truncated" in capsys.readouterr().err
+
+
+def test_snapshot_truncated_body_exits_2(tmp_path, capsys):
+    bad = _rewrite_snapshot(tmp_path, lambda data, body: data[:-1])
+    capsys.readouterr()
+    assert run(["retrieve", str(bad), "--file", "0"]) == 2
+    assert "snapshot error: snapshot body truncated" in capsys.readouterr().err

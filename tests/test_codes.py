@@ -256,3 +256,28 @@ def test_grs_mds_exhaustive(n, k):
     c = codes.grs(F, n, k)
     for I in combinations(range(n), k):
         assert codes.is_information_set(c, I)
+
+
+def test_solve_message_recovers_message_and_rejects_bad_words():
+    c = codes.grs(GF8, 7, 3)
+    msg = [5, 0, 7]
+    cw = c.encode(msg)
+    word = [None, cw[1], None, cw[3], None, None, cw[6]]
+    assert codes.solve_message(c, word) == msg
+    with pytest.raises(ValueError, match="no information set"):
+        codes.solve_message(c, [None, cw[1], None, cw[3], None, None, None])
+    word[0] = GF8.add(cw[0], 1)
+    with pytest.raises(ValueError, match="not consistent"):
+        codes.solve_message(c, word)
+
+
+def test_mds_check_runs_only_when_read(monkeypatch):
+    calls = []
+    monkeypatch.setattr(codes.LinearCode, "_check_mds",
+                        lambda self: calls.append(self) or True)
+    c = codes.from_generator(GF2, [[1, 0, 1], [0, 1, 1]])
+    s = codes.sum_code(c, c)
+    codes.hadamard(s, codes.repetition_code(GF2, 3))
+    assert calls == []
+    assert c.mds and c.mds
+    assert calls == [c]

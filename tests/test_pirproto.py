@@ -349,3 +349,20 @@ def test_privacy_statistical_mode():
     rep = pirproto.verify_privacy(params, em, [0, 2], mode="statistical",
                                   sessions=4000, rng=rng)
     assert not rep["reject"]
+
+
+def test_chi2_view_test_serves_both_privacy_checks():
+    """verify_privacy's statistical mode and simnet.spy_coalition run the
+    same chi-square routine on the same sampled sessions."""
+    from edgepir import simnet
+
+    enc, params, em = example_instance()
+    rng = np.random.default_rng(4)
+    direct = pirproto.chi2_view_test(
+        params, [3], 500, rng,
+        lambda iota: pirproto.generate_queries(params, em, params.cached[iota], rng))
+    rep = pirproto.verify_privacy(params, em, [3], mode="statistical",
+                                  sessions=500, rng=np.random.default_rng(4))
+    spy = simnet.spy_coalition(simnet.Network(enc, [0.0] * 6 + [1.0]), 1, 6,
+                               [3], sessions=500, rng=np.random.default_rng(4))
+    assert direct == rep["p_value"] == spy["p_value"]

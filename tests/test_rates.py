@@ -149,3 +149,13 @@ def test_accepts_coverage_distribution_objects():
     cd = CoverageDistribution([0.0, 0.0, 1.0])
     assert rates.backhaul_nopir([1.0], [Fraction(1, 2)], cd) == 0
     assert rates.sbs_rate_pir([1.0], [Fraction(1)], cd, 2, 1) == 2.0
+
+
+def test_expected_mbs_coords_exact():
+    """E[(n - b)^+] in exact arithmetic; b >= n leaves the MBS idle."""
+    g = [Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)]
+    assert rates.expected_mbs_coords(g, 2) == Fraction(3, 4)
+    assert rates.expected_mbs_coords(g, 0) == 0
+    mu = [Fraction(1, 2)]
+    assert rates.backhaul_pir([1], mu, g, 3, 1) == \
+        rates._pir_factor(mu[0], mu[0], 3, 1) * rates.expected_mbs_coords(g, 3)

@@ -151,3 +151,20 @@ def test_spy_coalition_detects_sabotage():
     rep = simnet.spy_coalition(net, 1, 6, [0], sessions=400, rng=rng,
                                sabotage=True)
     assert rep["reject"] and rep["p_value"] < 1e-6
+
+
+def test_monte_carlo_counts_bits_from_responses(monkeypatch):
+    """Session bits are measured from the responses built, so a responder
+    that drops a subresponse breaks the closed-form check.  The requests
+    are all for the uncached file, whose responses are never decoded."""
+    lib = cache.FileLibrary([[[1, 0, 0, 1, 1]], [[0, 1, 1, 0, 1]]], 5,
+                            [1.0, 0.0])
+    scheme = cache.CachingScheme(6, Fraction(1, 5),
+                                 [Fraction(0), Fraction(1, 5)], q=2)
+    net = simnet.Network(cache.EncodedCache(lib, scheme), [0.0] * 6 + [1.0])
+    respond = simnet.pirproto.respond
+    monkeypatch.setattr(simnet.pirproto, "respond",
+                        lambda *args: respond(*args)[:-1])
+    with pytest.raises(RuntimeError, match="closed form"):
+        simnet.monte_carlo(net, 1, 6, trials=10, rng=np.random.default_rng(0),
+                           full_sessions=1)

@@ -155,3 +155,14 @@ def test_sample_coverage_indices_are_in_range():
 def test_sample_coverage_rejects_unknown_model():
     with pytest.raises(TypeError):
         topology.sample_coverage(object(), np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("psi", [89.0, 90.0, 500.0])
+def test_ppp_gamma_large_psi(psi):
+    """Dense deployments: psi^b and b! overflow a float long before the
+    pmf itself is negligible."""
+    r_u = 60.0
+    cd = topology.ppp_gamma(topology.PppModel(psi / (math.pi * r_u ** 2), r_u))
+    assert abs(sum(cd.gamma) - 1.0) < 1e-12
+    mean = sum(b * g for b, g in enumerate(cd.gamma))
+    assert abs(mean - psi) < 1e-9 * psi
