@@ -23,7 +23,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
-from . import codes, gf, rates
+from . import codes, gf, rates, spec
+from .spec import SnapshotError
 
 MAGIC = b"EPIR"
 
@@ -257,10 +258,6 @@ class EncodedCache:
 # coordinate-minor, fixed width per file)
 # ---------------------------------------------------------------------------
 
-class SnapshotError(ValueError):
-    """An unreadable, truncated, incomplete or inconsistent snapshot."""
-
-
 def save_snapshot(path: str, cache: EncodedCache) -> None:
     lib, scheme = cache.library, cache.scheme
     header = {
@@ -315,16 +312,15 @@ def load_snapshot(path: str) -> EncodedCache:
         header = json.loads(data[8:end])
     except ValueError as e:
         raise SnapshotError(f"snapshot header is not valid JSON: {e}")
-    missing = [k for k in ("q", "F", "beta", "L", "N_sbs", "M", "mu", "popularity")
-               if not isinstance(header, dict) or k not in header]
+    header = spec.check(header, spec.HEADER, SnapshotError)
+    missing = [k for k in spec.HEADER if k not in header]
     if missing:
         raise SnapshotError(f"snapshot header lacks {', '.join(missing)}")
     body = data[end:]
     F, beta, L = header["F"], header["beta"], header["L"]
-    scheme = CachingScheme(header["N_sbs"], Fraction(header["M"]),
-                           [Fraction(m) for m in header["mu"]], q=header["q"],
-                           allow_full_spread=header.get("allow_full_spread", False))
     stripe_bytes = (L + 7) // 8
+    if min(F, beta, L) < 1 or F * beta * stripe_bytes > len(body):
+        raise SnapshotError(f"snapshot body cannot hold F={F}, beta={beta}, L={L}")
     files = []
     off = 0
     for _ in range(F):
@@ -335,8 +331,15 @@ def load_snapshot(path: str) -> EncodedCache:
             val >>= stripe_bytes * 8 - L
             stripes.append([(val >> (L - 1 - t)) & 1 for t in range(L)])
         files.append(stripes)
-    lib = FileLibrary(files, L, header["popularity"])
-    cache = EncodedCache(lib, scheme)
+    try:
+        scheme = CachingScheme(header["N_sbs"], Fraction(header["M"]),
+                               [Fraction(m) for m in header["mu"]], q=header["q"],
+                               allow_full_spread=header["allow_full_spread"])
+        cache = EncodedCache(FileLibrary(files, L, header["popularity"]), scheme)
+    except ValueError as e:
+        raise SnapshotError(f"snapshot header does not describe a cache: {e}")
+    if (cache.delta_max, cache.pad_bits) != (header["delta_max"], header["pad_bits"]):
+        raise SnapshotError("snapshot header packing inconsistent with its library")
     widths = {i: ((f.order - 1).bit_length() + 7) // 8 for i, f in cache.fields.items()}
     expected = off + beta * scheme.N_sbs * sum(widths.values())
     if len(body) != expected:

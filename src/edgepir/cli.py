@@ -2,10 +2,9 @@
 
 Subcommands: encode, retrieve, rates, optimize, sweep, verify-privacy,
 simulate.  Experiments are described by a JSON config (--config) or by a
-named built-in preset (--preset fig2..fig6).  Output tables are CSV.
-
-Exit codes: 0 success, 2 config or snapshot error, 3 constraint
-violation, 4 verification failure.
+named built-in preset (--preset fig2..fig6), checked against
+spec.CONFIG.  Output tables are CSV.  An error exits with the code that
+spec.EXIT_CODES gives its class, after one stderr line.
 """
 
 from __future__ import annotations
@@ -13,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from fractions import Fraction
 from importlib import resources
@@ -21,30 +21,37 @@ from itertools import combinations
 import numpy as np
 
 from . import cache as cache_mod
-from . import optimizer, pirproto, rates, simnet, topology
-
-EXIT_CONFIG = 2
-EXIT_CONSTRAINT = 3
-EXIT_VERIFY = 4
+from . import optimizer, pirproto, rates, simnet, spec, topology
+from .spec import ConfigError, VerificationError
 
 
-class ConfigError(Exception):
-    pass
-
-
-def load_config(args) -> dict:
+def load_config(args) -> spec.Section:
     if args.preset:
         ref = resources.files("edgepir").joinpath(f"presets/{args.preset}.json")
         if not ref.is_file():
             raise ConfigError(f"unknown preset {args.preset!r}")
-        return json.loads(ref.read_text())
-    if not args.config:
+        cfg = json.loads(ref.read_text())
+    elif not args.config:
         raise ConfigError("either --config or --preset is required")
-    try:
-        with open(args.config) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
-        raise ConfigError(str(e))
+    else:
+        try:
+            with open(args.config) as fh:
+                cfg = json.load(fh)
+        except (OSError, ValueError) as e:
+            raise ConfigError(str(e))
+    return spec.check(cfg, spec.CONFIG)
+
+
+def protocol(cfg, n=None) -> tuple:
+    """(T, n) from their one home, the protocol section; T defaults to 1."""
+    return cfg.get("protocol", {}).get("T", 1), cfg.get("protocol", {}).get("n", n)
+
+
+def check_flag(args, name: str, low: int, high=math.inf) -> None:
+    """Reject a flag given outside [low, high]."""
+    value = getattr(args, name)
+    if value is not None and not low <= value <= high:
+        raise ConfigError(f"--{name} must lie in [{low}, {high}]")
 
 
 def build_popularity(lib_cfg: dict) -> list[float]:
@@ -129,21 +136,21 @@ def cmd_encode(args) -> int:
 
 def cmd_retrieve(args) -> int:
     enc = cache_mod.load_snapshot(args.snapshot)
+    N = enc.scheme.N_sbs
+    for flag in (("file", 0, enc.library.F - 1), ("b", 0, N), ("n", 1, N), ("T", 1)):
+        check_flag(args, *flag)
     cfg = load_config(args) if (args.config or args.preset) else {}
-    proto = cfg.get("protocol", {})
-    T = args.T if args.T is not None else proto.get("T", 1)
-    n = args.n if args.n is not None else proto.get("n", enc.scheme.N_sbs)
+    T, n = protocol(cfg, N)
+    T, n = args.T or T, args.n or n  # flags first; both are >= 1 when given
     rng = np.random.default_rng(args.seed)
     gamma = ([0.0] * args.b + [1.0]) if args.b is not None else \
-        cfg.get("topology", {}).get("gamma", [0.0] * enc.scheme.N_sbs + [1.0])
+        cfg.get("topology", {}).get("gamma", [0.0] * N + [1.0])
     net = simnet.Network(enc, gamma)
     tr = simnet.run_retrieval(net, T, n, args.file, rng,
                               keep_messages=bool(args.dump_transcript))
     print(json.dumps(tr.summary(), indent=2))
     if tr.cached:
-        bits = enc.library.files[args.file]
-        print("recovered stripes:",
-              ["".join(map(str, s)) for s in bits])
+        print("recovered stripes:", ["".join(map(str, s)) for s in enc.library.files[args.file]])
     if args.dump_transcript:
         dump = tr.summary()
         dump["coords"] = tr.coords
@@ -151,7 +158,7 @@ def cmd_retrieve(args) -> int:
         dump["responses"] = tr.responses
         with open(args.dump_transcript, "w") as fh:
             json.dump(dump, fh, indent=2)
-    return 0 if tr.success else EXIT_VERIFY
+    return 0
 
 
 def cmd_rates(args) -> int:
@@ -160,8 +167,7 @@ def cmd_rates(args) -> int:
     p = build_popularity(cfg["library"])
     sc = cfg["scheme"]
     mu = build_placement(sc, cfg["library"]["F"])
-    T = sc.get("T", 1)
-    n = cfg.get("protocol", {}).get("n")
+    T, n = protocol(cfg)
     theta = sc.get("theta", 0.0)
     row = {"R_noPIR": float(rates.backhaul_nopir(p, mu, gamma))}
     if n:
@@ -177,29 +183,23 @@ def cmd_optimize(args) -> int:
     cfg = load_config(args)
     gamma = build_gamma(cfg["topology"], args.seed)
     p = build_popularity(cfg["library"])
-    opt_cfg = cfg.get("optimize", {})
-    M = opt_cfg.get("M", cfg.get("scheme", {}).get("M"))
-    if M is None:
-        raise ConfigError("optimize needs a cache size M")
-    T = opt_cfg.get("T", cfg.get("scheme", {}).get("T", 1))
-    theta = opt_cfg.get("theta", 0.0)
-    rows = []
+    M = Fraction(cfg["scheme"]["M"])
+    whole = math.floor(M)  # popular placement caches floor(M) whole files
+    T, _ = protocol(cfg)
+    theta = cfg["scheme"].get("theta", 0.0)
     opt = optimizer.optimize_pir(p, gamma, M, T, theta=theta)
-    rows.append({"objective": "PIR" if theta == 0 else f"weighted(theta={theta})",
-                 "mu_star": str(opt.mu_star), "k_star": opt.k_star,
-                 "n_star": opt.n_star, "files_cached": opt.files_cached,
-                 "value": opt.value})
-    pop = optimizer.popular_pir(p, gamma, int(M), T)
-    rows.append({"objective": "PIR popular", "mu_star": "1", "k_star": 1,
-                 "n_star": pop.n_star, "files_cached": int(M),
-                 "value": pop.value})
+    pop = optimizer.popular_pir(p, gamma, whole, T)
     nop = optimizer.optimize_nopir(p, gamma, M)
-    rows.append({"objective": "noPIR", "mu_star": "per-file",
-                 "k_star": "per-file", "n_star": "",
-                 "files_cached": nop.files_cached, "value": nop.value})
-    rows.append({"objective": "noPIR popular", "mu_star": "1", "k_star": 1,
-                 "n_star": "", "files_cached": int(M),
-                 "value": float(rates.backhaul_nopir_popular(p, int(M), gamma))})
+    rows = [{"objective": "PIR" if theta == 0 else f"weighted(theta={theta})",
+             "mu_star": str(opt.mu_star), "k_star": opt.k_star,
+             "n_star": opt.n_star, "files_cached": opt.files_cached, "value": opt.value},
+            {"objective": "PIR popular", "mu_star": "1", "k_star": 1,
+             "n_star": pop.n_star, "files_cached": whole, "value": pop.value},
+            {"objective": "noPIR", "mu_star": "per-file", "k_star": "per-file",
+             "n_star": "", "files_cached": nop.files_cached, "value": nop.value},
+            {"objective": "noPIR popular", "mu_star": "1", "k_star": 1, "n_star": "",
+             "files_cached": whole,
+             "value": float(rates.backhaul_nopir_popular(p, whole, gamma))}]
     write_csv(args.out, ["objective", "mu_star", "k_star", "n_star",
                          "files_cached", "value"], rows)
     return 0
@@ -209,17 +209,20 @@ def cmd_sweep(args) -> int:
     cfg = load_config(args)
     p = build_popularity(cfg["library"])
     sw = cfg["sweep"]
-    T = sw.get("T", 1)
-    theta = sw.get("theta", 0.0)
-    if sw["axis"] == "M":
+    T, _ = protocol(cfg)
+    theta = cfg.get("scheme", {}).get("theta", 0.0)
+    axis = sw["axis"]
+    if axis == "M":
         gamma = build_gamma(cfg["topology"], args.seed)
-        Ms = sw.get("values") or list(range(sw["start"], sw["stop"] + 1, sw.get("step", 1)))
+        Ms = sw.get("values") or list(range(*spec.check(  # integer bounds on this axis
+            [sw["start"], sw["stop"] + 1, sw.get("step", 1)], [int], path="sweep bounds")))
         rows = optimizer.sweep_cache_size(p, gamma, Ms, T, theta=theta)
-        axis = "M"
-    elif sw["axis"] == "lambda":
+    elif axis == "lambda":
+        if not sw.get("values") and sw["step"] <= 0:
+            raise ValueError("sweep step must be positive")
         lams = sw.get("values") or list(np.arange(sw["start"], sw["stop"] + sw["step"] / 2, sw["step"]))
-        rows = optimizer.sweep_density(p, sw["M"], T, lams, sw["r_u"], theta=theta)
-        axis = "lambda"
+        rows = optimizer.sweep_density(p, cfg["scheme"]["M"], T, lams,
+                                       cfg["topology"]["ppp"]["r_u"], theta=theta)
     else:
         raise ConfigError("sweep axis must be 'M' or 'lambda'")
     for r in rows:
@@ -236,9 +239,7 @@ def cmd_verify_privacy(args) -> int:
     lib = build_library(cfg, rng)
     scheme = build_scheme(cfg, lib.F)
     enc = cache_mod.EncodedCache(lib, scheme)
-    proto = cfg.get("protocol", {})
-    T = proto.get("T", cfg.get("scheme", {}).get("T", 1))
-    n = proto.get("n", scheme.N_sbs)
+    T, n = protocol(cfg, scheme.N_sbs)
     params = pirproto.plan_protocol(enc, T, n)
     em = pirproto.build_erasure_matrix(params)
     mode = cfg.get("privacy", {}).get("mode", "exact")
@@ -253,8 +254,10 @@ def cmd_verify_privacy(args) -> int:
             line = f"coalition {coalition}: chi-square p = {rep['p_value']:.4g}"
             ok = ok and not rep["reject"]
         print(line)
-    print("privacy verified" if ok else "PRIVACY FAILURE")
-    return 0 if ok else EXIT_VERIFY
+    if not ok:
+        raise VerificationError("a coalition's queries depend on the requested file")
+    print("privacy verified")
+    return 0
 
 
 def cmd_simulate(args) -> int:
@@ -264,8 +267,7 @@ def cmd_simulate(args) -> int:
     scheme = build_scheme(cfg, lib.F)
     enc = cache_mod.EncodedCache(lib, scheme)
     gamma = build_gamma(cfg["topology"], args.seed)
-    T = cfg.get("protocol", {}).get("T", cfg.get("scheme", {}).get("T", 1))
-    n = cfg.get("protocol", {}).get("n", scheme.N_sbs)
+    T, n = protocol(cfg, scheme.N_sbs)
     net = simnet.Network(enc, gamma.gamma)
     res = simnet.monte_carlo(net, T, n, args.trials or 10000, rng)
     p = lib.popularity
@@ -281,10 +283,9 @@ def main(argv=None) -> int:
         description="MDS-coded edge caching with private information retrieval")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, config=True):
-        if config:
-            sp.add_argument("--config", help="JSON experiment config")
-            sp.add_argument("--preset", help="built-in preset name (fig2..fig6)")
+    def common(sp):
+        sp.add_argument("--config", help="JSON experiment config")
+        sp.add_argument("--preset", help="built-in preset name (fig2..fig6)")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", help="output path (default: stdout)")
         sp.add_argument("--trials", type=int)
@@ -312,16 +313,12 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        check_flag(args, "trials", 1)
         return args.func(args)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except cache_mod.SnapshotError as e:
-        print(f"snapshot error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ValueError, KeyError) as e:
-        print(f"constraint violation: {e}", file=sys.stderr)
-        return EXIT_CONSTRAINT
+    except tuple(cls for cls, _, _ in spec.EXIT_CODES) as e:
+        _, code, prefix = next(row for row in spec.EXIT_CODES if isinstance(e, row[0]))
+        print(f"{prefix}: {e}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -30,6 +30,7 @@ import numpy as np
 
 from . import codes, gf
 from .cache import EncodedCache
+from .spec import ProtocolError
 
 
 @dataclass
@@ -256,11 +257,14 @@ def collect_responses(params: ProtocolParams, queries: QuerySet,
 def recover(params: ProtocolParams, em: ErasureMatrix, queries: QuerySet,
             responses: list) -> list[list[int]]:
     """Solve for the useful symbols round by round, regroup them into
-    stripes, erasure-decode each stripe, and unpack to bits."""
+    stripes, erasure-decode each stripe, and unpack to bits; raises
+    ProtocolError for a missing, short or inconsistent response."""
     big = params.big_field
     i = queries.file_index
     small = params.cache.fields[i]
     H = params.Ctilde.H
+    if len(responses) != params.n or any(r is None or len(r) != params.d for r in responses):
+        raise ProtocolError(f"need {params.n} responses of {params.d} subresponses each")
     recovered: dict[tuple[int, int], int] = {}  # (stripe m, coord l) -> symbol
     for j in range(params.d):
         rho = [responses[l][j] for l in range(params.n)]
@@ -270,7 +274,7 @@ def recover(params: ProtocolParams, em: ErasureMatrix, queries: QuerySet,
         try:
             sol = gf.solve(big, A, syndrome)
         except gf.NoSolution:
-            raise ValueError("inconsistent responses: corrupted subresponse")
+            raise ProtocolError("inconsistent responses: corrupted subresponse")
         for l, val in zip(support, sol):
             m = queries.s_assign[(l, j)]
             recovered[(m, l)] = val

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import gf, pirproto, rates
 from .cache import EncodedCache
+from .spec import VerificationError
 from .topology import CoverageDistribution
 
 
@@ -119,12 +120,9 @@ def run_retrieval(network: Network, T: int, n: int, file_index: int, rng,
             responses.append(pirproto.respond(params, queries.Q[pos], column))
         else:
             responses.append(None)  # uncached: MBS coordinates not requested
-    success = True
-    if is_cached:
-        stripes = pirproto.recover(params, em, queries, responses)
-        success = stripes == cache.library.files[file_index]
-        if not success:
-            raise RuntimeError("recovered file differs from the original")
+    if is_cached and pirproto.recover(params, em, queries, responses) \
+            != cache.library.files[file_index]:
+        raise VerificationError("recovered file differs from the original")
     # measured from the responses built; an uncached file crosses the
     # backhaul whole and its SBS answers are downloaded and discarded
     bits = [response_bits(cache, len(r)) for r in responses if r is not None]
@@ -132,7 +130,7 @@ def run_retrieval(network: Network, T: int, n: int, file_index: int, rng,
     bits_mbs = sum(bits[sbs_count:]) if is_cached else cache.library.beta * cache.library.L
     return RetrievalTranscript(
         file_index, is_cached, b, in_range, coords, n, bits_mbs, bits_sbs,
-        success, queries if keep_messages else None,
+        True, queries if keep_messages else None,
         responses if keep_messages else None)
 
 
@@ -142,8 +140,8 @@ def monte_carlo(network: Network, T: int, n: int, trials: int, rng,
 
     Requests are sampled from the popularity profile and coverage from
     gamma; per-session bits follow the exact per-transcript accounting.  A
-    subset of sessions additionally runs the full protocol and asserts that
-    recovery succeeds and that its bit counts equal the accounting.
+    subset of sessions also runs the full protocol and raises VerificationError
+    unless recovery succeeds and its bit counts equal the accounting.
     """
     cache = network.cache
     lib = cache.library
@@ -167,9 +165,7 @@ def monte_carlo(network: Network, T: int, n: int, trials: int, rng,
         expect = transcript_bit_counts(cache, bool(cached_mask[t]),
                                        int(bs[t]), n, d)
         if (tr.bits_from_mbs, tr.bits_from_sbs) != expect:
-            raise RuntimeError("transcript bits disagree with closed form")
-        if not tr.success:
-            raise RuntimeError("full-protocol session failed to recover")
+            raise VerificationError("transcript bits disagree with closed form")
     return {
         "R_hat": float(R.mean()),
         "D_hat": float(D.mean()),

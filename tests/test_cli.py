@@ -2,10 +2,11 @@
 
 import csv
 import json
+from importlib import resources
 
 import pytest
 
-from edgepir import cache, cli
+from edgepir import cache, cli, simnet, spec
 
 
 def run(argv):
@@ -71,7 +72,8 @@ def test_optimize_command(tmp_path):
     cfg = {
         "library": {"F": 200, "alpha": 0.7},
         "topology": {"gamma": [0, 0, 0.1736, 0.5113, 0.3151]},
-        "optimize": {"M": 50, "T": 1},
+        "scheme": {"M": 50},
+        "protocol": {"T": 1},
     }
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -87,7 +89,8 @@ def test_sweep_m_axis(tmp_path):
     cfg = {
         "library": {"F": 50, "alpha": 0.7},
         "topology": {"gamma": [0, 0, 0.1736, 0.5113, 0.3151]},
-        "sweep": {"axis": "M", "start": 10, "stop": 30, "step": 10, "T": 1},
+        "protocol": {"T": 1},
+        "sweep": {"axis": "M", "start": 10, "stop": 30, "step": 10},
     }
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -167,7 +170,7 @@ def test_all_presets_load():
 def test_rates_scheme_without_placement_exits_2(tmp_path, capsys):
     cfg = {"library": {"F": 2, "popularity": [0.5, 0.5]},
            "topology": {"gamma": [0, 1]},
-           "scheme": {"N_sbs": 6, "M": 1, "T": 1}}
+           "scheme": {"N_sbs": 6, "M": 1}, "protocol": {"T": 1}}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert run(["rates", "--config", str(path)]) == 2
@@ -213,3 +216,104 @@ def test_snapshot_truncated_body_exits_2(tmp_path, capsys):
     capsys.readouterr()
     assert run(["retrieve", str(bad), "--file", "0"]) == 2
     assert "snapshot error: snapshot body truncated" in capsys.readouterr().err
+
+
+def _preset(name):
+    return json.loads(resources.files("edgepir").joinpath(f"presets/{name}.json").read_text())
+
+
+def _set_header(key, value):
+    def edit(data, body_start):
+        header = json.loads(data[8:body_start])
+        header[key] = value
+        hdr = json.dumps(header).encode()
+        return data[:4] + len(hdr).to_bytes(4, "big") + hdr + data[body_start:]
+    return edit
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("F", "2", "F must be an integer"),
+    ("q", 3, "does not describe a cache"),
+    ("mu", ["1"], "does not describe a cache"),
+])
+def test_snapshot_header_fault_exits_2(tmp_path, capsys, key, value, message):
+    bad = _rewrite_snapshot(tmp_path, _set_header(key, value))
+    capsys.readouterr()
+    assert run(["retrieve", str(bad), "--file", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("snapshot error: ") and message in err
+
+
+def test_rates_reads_T_from_protocol(tmp_path):
+    cfg = {"library": {"F": 2, "popularity": [0.5, 0.5]},
+           "topology": {"gamma": [0, 0, 0, 0, 1]},
+           "scheme": {"N_sbs": 6, "mu": ["1", "1"], "M": "2"},
+           "protocol": {"n": 4, "T": 2}}
+    path, out = tmp_path / "cfg.json", tmp_path / "rates.csv"
+    path.write_text(json.dumps(cfg))
+    assert run(["rates", "--config", str(path), "--out", str(out)]) == 0
+    # every user sees 4 SBSs: D = n / (n - T + 1 - k) = 4 / 2 with T = 2
+    assert float(read_csv(str(out))[0]["D_PIR"]) == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["--file", "5"], "--file"), (["--file", "-1"], "--file"),
+    (["--b", "-1"], "--b"), (["--b", "7"], "--b"),
+    (["--n", "0"], "--n"), (["--n", "7"], "--n"),
+    (["--T", "0"], "--T"),
+])
+def test_retrieve_flag_out_of_range_exits_2(tmp_path, capsys, argv, flag):
+    snap = tmp_path / "cache.epir"
+    run(["encode", "--preset", "fig2", "--out", str(snap)])
+    capsys.readouterr()
+    args = ["retrieve", str(snap), "--seed", "1"] + (["--file", "0"] if flag != "--file" else [])
+    assert run(args + argv) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {flag} must lie in")
+
+
+def test_trials_out_of_range_exits_2(capsys):
+    assert run(["simulate", "--preset", "fig2", "--trials", "0"]) == 2
+    assert capsys.readouterr().err.startswith("config error: --trials must lie in")
+
+
+@pytest.mark.parametrize("section,key", [
+    ("scheme", "T"), ("optimize", "M"), ("optimize", "T"), ("optimize", "theta"),
+    ("sweep", "M"), ("sweep", "T"), ("sweep", "theta"), ("sweep", "r_u"),
+])
+def test_removed_key_exits_2_naming_it(tmp_path, capsys, section, key):
+    cfg = _preset("fig2")
+    cfg.setdefault(section, {})[key] = 1
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run(["rates", "--config", str(path)]) == 2
+    name = f"{section}.{key}" if section in spec.CONFIG else section
+    assert f"config error: unknown key {name}\n" == capsys.readouterr().err
+
+
+def test_every_preset_passes_spec_check():
+    presets = resources.files("edgepir").joinpath("presets")
+    names = sorted(p.name[:-len(".json")] for p in presets.iterdir() if p.name.endswith(".json"))
+    assert names == ["fig2", "fig3", "fig4", "fig5", "fig6"]
+    for name in names:
+        spec.check(_preset(name), spec.CONFIG)
+        assert isinstance(cli.load_config(type("A", (), {"preset": name})), spec.Section)
+
+
+def test_optimize_fractional_M_caches_floor_M_popular_files(tmp_path):
+    out = tmp_path / "opt.csv"
+    assert run(["optimize", "--preset", "fig2", "--out", str(out)]) == 0  # M = 6/5
+    rows = {r["objective"]: r for r in read_csv(str(out))}
+    assert rows["PIR popular"]["files_cached"] == rows["noPIR popular"]["files_cached"] == "1"
+    assert rows["PIR"]["files_cached"] == "2"  # floor(M * k) files at mu = 1/2
+
+
+def test_protocol_and_verification_failures_exit_4(monkeypatch, capsys):
+    respond = simnet.pirproto.respond
+    with monkeypatch.context() as m:
+        m.setattr(simnet.pirproto, "respond", lambda *args: respond(*args)[:-1])
+        assert run(["simulate", "--preset", "fig2", "--trials", "3"]) == 4
+    assert capsys.readouterr().err.startswith("protocol error: need 6 responses of 5")
+    monkeypatch.setattr(simnet, "transcript_bit_counts", lambda *args: (-1, -1))
+    assert run(["simulate", "--preset", "fig2", "--trials", "3"]) == 4
+    assert capsys.readouterr().err == \
+        "verification failure: transcript bits disagree with closed form\n"

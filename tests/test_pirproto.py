@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from edgepir import cache, codes, gf, pirproto
+from edgepir.spec import ProtocolError
 
 
 def example_instance():
@@ -366,3 +367,13 @@ def test_chi2_view_test_serves_both_privacy_checks():
     spy = simnet.spy_coalition(simnet.Network(enc, [0.0] * 6 + [1.0]), 1, 6,
                                [3], sessions=500, rng=np.random.default_rng(4))
     assert direct == rep["p_value"] == spy["p_value"]
+
+
+@pytest.mark.parametrize("damage", ["short", "missing"])
+def test_recover_rejects_missing_or_short_response(damage):
+    enc, params, em = example_instance()
+    qs = pirproto.generate_queries(params, em, 1, np.random.default_rng(5))
+    resp = pirproto.collect_responses(params, qs, [enc.cache_column(j) for j in range(6)])
+    resp[3] = resp[3][:-1] if damage == "short" else None
+    with pytest.raises(ProtocolError, match="need 6 responses of 5 subresponses each"):
+        pirproto.recover(params, em, qs, resp)
