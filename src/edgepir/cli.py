@@ -165,10 +165,9 @@ def cmd_rates(args) -> int:
     cfg = load_config(args)
     gamma = build_gamma(cfg["topology"], args.seed)
     p = build_popularity(cfg["library"])
-    sc = cfg["scheme"]
-    mu = build_placement(sc, cfg["library"]["F"])
+    mu = build_scheme(cfg, cfg["library"]["F"]).mu
     T, n = protocol(cfg)
-    theta = sc.get("theta", 0.0)
+    theta = cfg["scheme"].get("theta", 0.0)
     row = {"R_noPIR": float(rates.backhaul_nopir(p, mu, gamma))}
     if n:
         R = float(rates.backhaul_pir(p, mu, gamma, n, T))

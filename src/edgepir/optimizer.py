@@ -35,6 +35,13 @@ class Optimum:
     table: list = field(default_factory=list, repr=False)
 
 
+def _check_budget(M) -> Fraction:
+    M = Fraction(M)
+    if M < 0:
+        raise ValueError(f"cache size M must be non-negative, got {M}")
+    return M
+
+
 def _prefix_sums(p: Sequence[float]) -> list[float]:
     out = [0.0]
     for x in p:
@@ -72,7 +79,7 @@ def optimize_pir(p: Sequence[float], gamma, M, T: int,
     R + theta*D; theta = 0 optimizes the backhaul rate alone."""
     g = rates._gamma_list(gamma)
     F = len(p)
-    M = Fraction(M)
+    M = _check_budget(M)
     N_max = max((b for b, x in enumerate(g) if x > 0), default=0)
     if k_candidates is None:
         k_candidates = range(1, max(2, 2 * N_max) + 1)
@@ -116,8 +123,8 @@ def popular_pir(p: Sequence[float], gamma, M: int, T: int,
     minimized over the number of contacted coordinates n."""
     g = rates._gamma_list(gamma)
     F = len(p)
-    if M > F:
-        raise ValueError("cannot cache more files than exist")
+    if not 0 <= M <= F:
+        raise ValueError(f"cannot cache {M} whole files of {F}")
     N_max = max((b for b, x in enumerate(g) if x > 0), default=0)
     cap = n_cap if n_cap is not None else N_max + 1 + T
     P = _prefix_sums(p)
@@ -146,7 +153,7 @@ def optimize_nopir(p: Sequence[float], gamma, M,
     """
     g = rates._gamma_list(gamma)
     F = len(p)
-    M = Fraction(M)
+    M = _check_budget(M)
     N_max = max((b for b, x in enumerate(g) if x > 0), default=0)
     if k_candidates is None:
         k_candidates = list(range(1, max(2, 2 * N_max) + 1))

@@ -26,11 +26,18 @@ def _gamma_list(gamma) -> list:
 def _check_mu(mu) -> list[Fraction]:
     out = []
     for m in mu:
-        f = Fraction(m)
+        f = m if isinstance(m, Fraction) else Fraction(m)
         if f != 0 and f.numerator != 1:
             raise ValueError(f"placement entries must be 0 or 1/k, got {m}")
         out.append(f)
     return out
+
+
+def _check_placement(p: Sequence, mu: Sequence) -> list[Fraction]:
+    """mu checked by _check_mu, with one entry per popularity value."""
+    if len(p) != len(mu):
+        raise ValueError(f"placement has {len(mu)} entries for {len(p)} files")
+    return _check_mu(mu)
 
 
 def backhaul_nopir(p: Sequence, mu: Sequence, gamma) -> object:
@@ -38,7 +45,7 @@ def backhaul_nopir(p: Sequence, mu: Sequence, gamma) -> object:
     of the k_i coded symbols, the MBS supplies the max(0, k_i - b) missing
     ones; uncached files are fetched whole."""
     g = _gamma_list(gamma)
-    mu = _check_mu(mu)
+    mu = _check_placement(p, mu)
     total = 0
     for pi, mi in zip(p, mu):
         if mi == 0:
@@ -77,7 +84,7 @@ def backhaul_pir(p: Sequence, mu: Sequence, gamma, n: int, T: int) -> object:
     that in-range SBSs cannot, each answer d*L*mu_max bits; uncached files
     are fetched whole."""
     g = _gamma_list(gamma)
-    mu = _check_mu(mu)
+    mu = _check_placement(p, mu)
     cached = [m for m in mu if m != 0]
     if not cached:
         return sum(p)
@@ -97,7 +104,7 @@ def sbs_rate_pir(p: Sequence, mu: Sequence, gamma, n: int, T: int) -> object:
     min(b, n) in-range SBSs regardless of which file is requested, so the
     rate does not depend on the popularity profile."""
     g = _gamma_list(gamma)
-    mu = _check_mu(mu)
+    mu = _check_placement(p, mu)
     cached = [m for m in mu if m != 0]
     if not cached:
         return 0

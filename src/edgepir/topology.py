@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,23 +50,50 @@ def zipf(F: int, alpha: float) -> list[float]:
     return [x / s for x in w]
 
 
-@dataclass
+@dataclass(frozen=True)
 class GridModel:
     D: float        # macro-cell radius (m)
     spacing: float  # inter-SBS distance (m)
     r: float        # SBS communication radius (m)
     phi: float = 1.0  # user density; cancels in gamma, kept for fidelity
 
+    def __post_init__(self):
+        if not all(math.isfinite(x) for x in (self.D, self.spacing, self.r)):
+            raise ValueError("grid D, spacing and r must be finite")
+        if self.spacing <= 0:
+            raise ValueError("grid spacing must be positive")
+        if self.D < 0 or self.r < 0:
+            raise ValueError("grid D and r must be non-negative")
+
+    @cached_property
+    def _lattice(self) -> tuple[int, int, np.ndarray]:
+        """(m, w, index): the lattice point (ix*s, iy*s), |ix|, |iy| <= m,
+        is entry [iy + m + w, ix + m + w] of ``index``, which holds its
+        position in sbs_positions(), or -1 where no SBS stands.  The table
+        is padded by w, the stencil half-width, so every stencil lookup of a
+        user in the disc stays inside it.
+
+        An SBS in range lies within sqrt(r^2 + 1e-9)/s of ux/s along each
+        axis, and the user's nearest index within 1/2 of ux/s, so
+        w = ceil(r/s) + 1 reaches every SBS in range.  ceil(1e-4/s) is that
+        +1 for s >= 1e-4 m and grows below it, where the test's 1e-9 m^2
+        slack (sqrt(1e-9) ~ 3.2e-5 m) can exceed half a lattice step."""
+        s = self.spacing
+        reach = self.D + self.r
+        m = int(math.ceil(reach / s))
+        w = math.ceil(self.r / s) + math.ceil(1e-4 / s)
+        xs = np.arange(-m, m + 1) * s
+        gx, gy = np.meshgrid(xs, xs)
+        keep = np.hypot(gx, gy) <= reach + 1e-9
+        index = np.where(keep, np.cumsum(keep).reshape(keep.shape) - 1, -1)
+        return m, w, np.pad(index, w, constant_values=-1)
+
     def sbs_positions(self) -> np.ndarray:
         """Square-lattice points covering the disc plus a margin of r, so
         users near the cell edge still see the SBSs just outside it."""
-        reach = self.D + self.r
-        m = int(math.ceil(reach / self.spacing))
-        xs = np.arange(-m, m + 1) * self.spacing
-        gx, gy = np.meshgrid(xs, xs)
-        pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
-        keep = np.hypot(pts[:, 0], pts[:, 1]) <= reach + 1e-9
-        return pts[keep]
+        m, w, index = self._lattice
+        iy, ix = np.nonzero(index >= 0)
+        return np.stack([(ix - m - w) * self.spacing, (iy - m - w) * self.spacing], axis=1)
 
     def sbs_count_in_cell(self) -> int:
         pts = self.sbs_positions()
@@ -76,6 +104,10 @@ class GridModel:
 def spacing_for_count(D: float, target: int) -> float:
     """Search the lattice spacing whose point count inside the disc of
     radius D is closest to ``target`` (exact when attainable)."""
+    if target < 1:
+        raise ValueError("need a target of at least one SBS")
+    if not D > 0:
+        raise ValueError("need a positive cell radius D to search a spacing")
     best = None
     for s in np.linspace(D / math.sqrt(target) * 0.5, D / math.sqrt(target) * 2.0, 4001):
         m = int(math.ceil(D / s))
@@ -90,6 +122,28 @@ def spacing_for_count(D: float, target: int) -> float:
     return best[1]
 
 
+def _in_range(model: GridModel, ux, uy):
+    """Yield, per stencil offset, the ``model._lattice`` index entries of
+    the lattice point at that offset from each user's nearest lattice
+    point, and which of them are SBSs in range of the user.  ux and uy are
+    arrays of users or one user's floats.  Every in-range SBS turns up at
+    exactly one offset, and the cost is O(len(ux) * (2w + 1)^2) whatever
+    the SBS count."""
+    m, w, index = model._lattice
+    s, r2 = model.spacing, model.r ** 2 + 1e-9
+    cx = np.rint(ux / s).astype(np.int64)
+    cy = np.rint(uy / s).astype(np.int64)
+    width, flat = index.shape[1], index.ravel()
+    base = (cy + m + w) * width + cx + m + w
+    offsets = range(-w, w + 1)
+    dx2 = [(ux - (cx + dx) * s) ** 2 for dx in offsets]
+    for dy in offsets:
+        dy2 = (uy - (cy + dy) * s) ** 2
+        for dx, x2 in zip(offsets, dx2):
+            at = flat.take(base + (dy * width + dx))
+            yield at, (x2 + dy2 <= r2) & (at >= 0)
+
+
 def grid_gamma(model: GridModel, mc_samples: int = 1000000,
                seed: int = 0) -> CoverageDistribution:
     """Monte-Carlo estimate of the in-range SBS count distribution for a
@@ -97,9 +151,6 @@ def grid_gamma(model: GridModel, mc_samples: int = 1000000,
     if mc_samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
-    pts = model.sbs_positions()
-    counts = np.zeros(0, dtype=np.int64)
-    max_b = 0
     hist: dict[int, int] = {}
     chunk = 200000
     done = 0
@@ -108,11 +159,9 @@ def grid_gamma(model: GridModel, mc_samples: int = 1000000,
         rad = model.D * np.sqrt(rng.random(size))
         ang = 2 * np.pi * rng.random(size)
         ux, uy = rad * np.cos(ang), rad * np.sin(ang)
-        if len(pts):
-            d2 = (ux[:, None] - pts[None, :, 0]) ** 2 + (uy[:, None] - pts[None, :, 1]) ** 2
-            b = (d2 <= model.r ** 2 + 1e-9).sum(axis=1)
-        else:
-            b = np.zeros(size, dtype=np.int64)
+        b = np.zeros(size, dtype=np.int64)
+        for _, hit in _in_range(model, ux, uy):
+            b += hit
         for val, cnt in zip(*np.unique(b, return_counts=True)):
             hist[int(val)] = hist.get(int(val), 0) + int(cnt)
         done += size
@@ -163,12 +212,10 @@ def sample_coverage(model, rng) -> tuple[tuple[float, float], list[int]]:
     extending r_u beyond the user's possible positions.
     """
     if isinstance(model, GridModel):
-        pts = model.sbs_positions()
         rad = model.D * math.sqrt(rng.random())
         ang = 2 * math.pi * rng.random()
         ux, uy = rad * math.cos(ang), rad * math.sin(ang)
-        d2 = (pts[:, 0] - ux) ** 2 + (pts[:, 1] - uy) ** 2
-        return (ux, uy), [int(i) for i in np.flatnonzero(d2 <= model.r ** 2 + 1e-9)]
+        return (ux, uy), sorted(int(at) for at, hit in _in_range(model, ux, uy) if hit)
     if isinstance(model, PppModel):
         # user at the origin; window of half-width r_u guarantees every SBS
         # that could be in range is realized

@@ -317,3 +317,35 @@ def test_protocol_and_verification_failures_exit_4(monkeypatch, capsys):
     assert run(["simulate", "--preset", "fig2", "--trials", "3"]) == 4
     assert capsys.readouterr().err == \
         "verification failure: transcript bits disagree with closed form\n"
+
+
+@pytest.mark.parametrize("grid,message", [
+    ({"spacing": 0}, "spacing must be positive"),
+    ({"count": 0}, "at least one SBS"),
+    ({"spacing": -60}, "spacing must be positive"),
+    ({"spacing": 60, "r": -60}, "r must be non-negative"),
+], ids=["spacing 0", "count 0", "spacing -60", "r -60"])
+def test_rates_grid_geometry_fault_exits_3(tmp_path, capsys, grid, message):
+    cfg = {"library": {"F": 200, "alpha": 0.7},
+           "topology": {"grid": {"D": 500, "r": 60, "mc_samples": 1000} | grid},
+           "scheme": {"N_sbs": 6, "M": 50, "k": 2}, "protocol": {"n": 4}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run(["rates", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("constraint violation: ") and message in err
+
+
+@pytest.mark.parametrize("library,scheme,message", [
+    ({"F": 200, "alpha": 0.7}, {"N_sbs": 6, "M": 50, "k": 2}, "sum(mu) > M"),
+    ({"F": 3, "popularity": [0.5, 0.5]}, {"N_sbs": 6, "M": 3, "mu": ["1/2"] * 3},
+     "placement has 3 entries for 2 files"),
+], ids=["over budget", "three mu for two popularities"])
+def test_rates_placement_fault_exits_3(tmp_path, capsys, library, scheme, message):
+    cfg = {"library": library, "topology": {"gamma": [0, 0, 0.2, 0.5, 0.3]},
+           "scheme": scheme, "protocol": {"n": 4}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run(["rates", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("constraint violation: ") and message in err

@@ -207,6 +207,17 @@ def test_nopir_budget_overflow_raises():
 
 # -- sweeps ------------------------------------------------------------------
 
+@pytest.mark.parametrize("optimize,M", [
+    (lambda M: optimizer.optimize_pir(zipf_p(), GRID_GAMMA, M, 1), -1),
+    (lambda M: optimizer.optimize_nopir(zipf_p(), GRID_GAMMA, M), -1),
+    (lambda M: optimizer.popular_pir(zipf_p(), GRID_GAMMA, M, 1), -2),
+], ids=["optimize_pir", "optimize_nopir", "popular_pir"])
+def test_optimizers_reject_negative_cache_size(optimize, M):
+    optimize(0)
+    with pytest.raises(ValueError):
+        optimize(M)
+
+
 def test_sweep_cache_size_rows():
     p = zipf_p(20, 0.7)
     rows = optimizer.sweep_cache_size(p, GRID_GAMMA, [5, 10, 20], 1)

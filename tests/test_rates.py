@@ -159,3 +159,16 @@ def test_expected_mbs_coords_exact():
     mu = [Fraction(1, 2)]
     assert rates.backhaul_pir([1], mu, g, 3, 1) == \
         rates._pir_factor(mu[0], mu[0], 3, 1) * rates.expected_mbs_coords(g, 3)
+
+
+@pytest.mark.parametrize("rate", [
+    lambda p, mu, g: rates.backhaul_nopir(p, mu, g),
+    lambda p, mu, g: rates.backhaul_pir(p, mu, g, 4, 1),
+    lambda p, mu, g: rates.sbs_rate_pir(p, mu, g, 4, 1),
+], ids=["backhaul_nopir", "backhaul_pir", "sbs_rate_pir"])
+def test_rates_reject_placement_of_wrong_length(rate):
+    g = [0, 0, 0, 0, 1]
+    rate([0.5, 0.5], [Fraction(1, 2)] * 2, g)
+    for mu in ([Fraction(1, 2)] * 3, [Fraction(1, 2)]):
+        with pytest.raises(ValueError, match="placement has"):
+            rate([0.5, 0.5], mu, g)

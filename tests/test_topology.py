@@ -1,6 +1,9 @@
 """Coverage distributions for grid and PPP deployments."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -91,6 +94,82 @@ def test_grid_gamma_geometry_oracle():
     assert len(pts) == 1
     cd = topology.grid_gamma(m, mc_samples=1000, seed=0)
     assert cd.gamma == [0.0, 1.0]
+
+
+def brute_grid_gamma(D, s, r, mc_samples, seed):
+    """Reference: every lattice point within D + r of the origin tested
+    against every user, with grid_gamma's draws and distance test."""
+    m = math.ceil((D + r) / s)
+    pts = [(i * s, j * s) for j in range(-m, m + 1) for i in range(-m, m + 1)
+           if math.hypot(i * s, j * s) <= D + r + 1e-9]
+    rng = np.random.default_rng(seed)
+    hist, done = {}, 0
+    while done < mc_samples:
+        size = min(200000, mc_samples - done)
+        rad = D * np.sqrt(rng.random(size))
+        ang = 2 * np.pi * rng.random(size)
+        ux, uy = rad * np.cos(ang), rad * np.sin(ang)
+        b = sum(((ux - px) ** 2 + (uy - py) ** 2 <= r ** 2 + 1e-9).astype(np.int64)
+                for px, py in pts)
+        for val in b.tolist():
+            hist[val] = hist.get(val, 0) + 1
+        done += size
+    return [hist.get(v, 0) / mc_samples for v in range(max(hist) + 1)]
+
+
+@pytest.mark.parametrize("D,s,r", [
+    (200.0, 30.0, 70.0),     # spacing < r
+    (200.0, 90.0, 40.0),     # spacing > r
+    (150.0, 40.0, 0.0),      # r = 0
+    (0.0, 40.0, 50.0),       # D = 0: every user at the origin
+    (300.0, 7.0, 61.3),      # r/s not an integer
+    (50.0, 3000.0, 1000.0),  # the geometry-oracle model
+    (1e-4, 1e-5, 0.0),       # the 1e-9 m^2 slack spans several lattice steps
+])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_grid_gamma_equals_full_lattice_reference(D, s, r, seed):
+    got = topology.grid_gamma(topology.GridModel(D, s, r), mc_samples=3000, seed=seed)
+    assert got.gamma == brute_grid_gamma(D, s, r, 3000, seed)
+
+
+def test_grid_gamma_criterion_2_model_is_unchanged():
+    """The 60 m model at 10^6 samples, seed 0: the exact gamma that the
+    samples x SBS distance matrix gave."""
+    cd = topology.grid_gamma(topology.GridModel(500.0, 60.0, 60.0), 10 ** 6, seed=0)
+    assert cd.gamma == [0.0, 0.0, 0.174998, 0.513484, 0.311518]
+
+
+def test_grid_gamma_dense_lattice_runs_in_bounded_memory():
+    """32 937 SBSs at 5 m spacing: a samples x SBS matrix would need tens
+    of GB per chunk.  The child process is capped at 2 GB of address space,
+    so a regression fails fast with MemoryError."""
+    m = topology.GridModel(500.0, 5.0, 12.0)
+    assert len(m.sbs_positions()) == 32937
+    code = ("import resource; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "from edgepir import topology\n"
+            "g = topology.grid_gamma(topology.GridModel(500.0, 5.0, 12.0), 200000, 0).gamma\n"
+            "print(sum(b * x for b, x in enumerate(g)))\n")
+    src = os.path.dirname(os.path.dirname(topology.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert abs(float(done.stdout) - math.pi * 12.0 ** 2 / 5.0 ** 2) < 0.05
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"spacing": 0.0}, {"spacing": -60.0}, {"D": -1.0}, {"r": -60.0},
+    {"spacing": math.inf}, {"D": math.nan}, {"r": math.inf}],
+    ids=lambda kwargs: ",".join(f"{k}={v}" for k, v in kwargs.items()))
+def test_grid_model_rejects_bad_geometry(kwargs):
+    with pytest.raises(ValueError):
+        topology.GridModel(**({"D": 500.0, "spacing": 60.0, "r": 60.0} | kwargs))
+
+
+@pytest.mark.parametrize("D,target", [(500.0, 0), (500.0, -3), (0.0, 5)])
+def test_spacing_for_count_rejects_bad_input(D, target):
+    with pytest.raises(ValueError):
+        topology.spacing_for_count(D, target)
 
 
 def test_ppp_gamma_is_poisson():
