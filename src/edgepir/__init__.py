@@ -1,7 +1,7 @@
 """MDS-coded caching with private information retrieval for edge networks.
 
 Modules:
-    gf         finite fields GF(q^delta) and dense linear algebra
+    gf         finite fields GF(q), GF(q) digit-vector symbols, linear algebra
     codes      GRS / generic MDS linear codes and erasure decoding
     cache      file library, bit packing, coded SBS caches, snapshots
     pirproto   query generation, responses, recovery, privacy checks

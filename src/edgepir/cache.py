@@ -3,16 +3,18 @@
 A library holds F files of beta stripes, each stripe L bits.  A caching
 scheme assigns each file a cached fraction mu_i in {0} or {1/k : k integer};
 a file with mu_i = 1/k is split per stripe into k packets, each packet is
-one symbol of GF(q^{delta_i}), and the k symbols are encoded with an
-(N_sbs, k) MDS storage code so that SBS j stores coordinate j of every
-stripe codeword.  The MBS keeps every file in plaintext; coordinate c of a
-stripe codeword is the same symbol wherever it is served, so the MBS
-answers from the stored codewords rather than encoding again.
+one symbol of delta_i GF(q) digits, and the k symbols are encoded with an
+(N_sbs, k) MDS storage code over GF(q), digit by digit, so that SBS j
+stores coordinate j of every stripe codeword.  File i's symbols occupy the
+low delta_i digits of GF(q)^{delta_max}, the space the protocol runs in.
+The MBS keeps every file in plaintext; coordinate c of a stripe codeword is
+the same symbol wherever it is served, so the MBS answers from the stored
+codewords rather than encoding again.
 
 Bit packing is big-endian per packet: the packet's bits, most significant
-first, form the integer encoding of the field element.  Stripes are padded
-with zero bits up to a common packed length so that all delta_i divide
-delta_max; the pad length is recorded and stripped on unpack.
+first, form the symbol's int, whose base-q digits are its GF(q) digits.
+Stripes are padded with zero bits up to a common packed length so that all
+delta_i divide delta_max; the pad length is recorded and stripped on unpack.
 """
 
 from __future__ import annotations
@@ -114,7 +116,7 @@ class CachingScheme:
 def packing_params(scheme: CachingScheme, L: int) -> tuple[int, dict, int]:
     """Return (delta_max, {file: delta_i}, pad_bits).
 
-    delta_max is the packed stripe length in GF(q) symbols for the
+    delta_max is the packed stripe length in GF(q) digits for the
     smallest-k file, chosen so every delta_i = delta_max*k_min/k_i is an
     integer and divides delta_max; pad_bits is the zero padding appended to
     each stripe to reach the common packed length.
@@ -134,9 +136,9 @@ def packing_params(scheme: CachingScheme, L: int) -> tuple[int, dict, int]:
     return delta_max, deltas, pad_bits
 
 
-def pack_stripe(bits: Sequence[int], k: int, field) -> list[int]:
-    """Split a (padded) stripe into k packets and map each big-endian to a
-    GF(q^delta) element int."""
+def pack_stripe(bits: Sequence[int], k: int) -> list[int]:
+    """Split a (padded) stripe into k packets and read each big-endian as
+    the int of a symbol."""
     delta_bits = len(bits) // k
     if delta_bits * k != len(bits):
         raise ValueError("stripe length not divisible by k")
@@ -145,35 +147,17 @@ def pack_stripe(bits: Sequence[int], k: int, field) -> list[int]:
         val = 0
         for b in bits[j * delta_bits:(j + 1) * delta_bits]:
             val = (val << 1) | b
-        if val >= field.order:
-            raise ValueError("packet does not fit the symbol field")
         out.append(val)
     return out
 
 
-def unpack_stripe(symbols: Sequence[int], field, L: int) -> list[int]:
-    """Inverse of pack_stripe, truncating padding down to L bits."""
-    p, m = gf.factor_prime_power(field.order)
-    delta_bits = m
+def unpack_stripe(symbols: Sequence[int], symbol_bits: int, L: int) -> list[int]:
+    """Inverse of pack_stripe for symbols of symbol_bits bits, truncating
+    padding down to L bits."""
     bits: list[int] = []
     for s in symbols:
-        bits.extend((s >> (delta_bits - 1 - t)) & 1 for t in range(delta_bits))
+        bits.extend((s >> (symbol_bits - 1 - t)) & 1 for t in range(symbol_bits))
     return bits[:L]
-
-
-def pack_file(stripes: Sequence[Sequence[int]], k: int, q: int, L: int):
-    """Pack a file's stripes into k symbols each over GF(q^delta).
-
-    Returns (list of per-stripe symbol vectors, symbol field, pad_bits).
-    """
-    p, m = gf.factor_prime_power(q)
-    if p != 2:
-        raise ValueError("bit packing requires q to be a power of 2")
-    delta = -(-L // (k * m))
-    pad = delta * k * m - L
-    field = gf.make_field(q, delta)
-    packed = [pack_stripe(list(s) + [0] * pad, k, field) for s in stripes]
-    return packed, field, pad
 
 
 class EncodedCache:
@@ -188,46 +172,35 @@ class EncodedCache:
         self.library = library
         self.scheme = scheme
         self.delta_max, self.deltas, self.pad_bits = packing_params(scheme, library.L)
-        self.fields = {i: gf.make_field(scheme.q, d) for i, d in self.deltas.items()}
+        # GF(q)^{delta_max}, where all protocol arithmetic runs
+        self.symbol_field = (gf.SymbolSpace(scheme.q, self.delta_max)
+                             if self.delta_max else None)
         self.codes = {i: scheme.storage_code(i) for i in scheme.cached_files()}
         self.messages: dict[int, list[list[int]]] = {}
         self.symbols: dict[int, list[list[int]]] = {}
         pad = self.pad_bits
         for i in scheme.cached_files():
-            k = scheme.k[i]
-            field = self.fields[i]
-            code = self.codes[i]
-            stripes = []
-            rows = []
-            for a in range(library.beta):
-                bits = list(library.files[i][a]) + [0] * pad
-                msg = pack_stripe(bits, k, field)
-                stripes.append(msg)
-                rows.append(self._encode_row(code, msg, field))
+            k, space = scheme.k[i], gf.SymbolSpace(scheme.q, self.deltas[i])
+            stripes = [pack_stripe(list(bits) + [0] * pad, k)
+                       for bits in library.files[i]]
+            # every stripe's codeword in one GF(q) product:
+            # (N_sbs x k) times (k x beta*delta_i) digits
+            digits = space.digits([x for msg in stripes for x in msg])
+            digits = digits.reshape(library.beta, k, -1).transpose(1, 0, 2)
+            Gt = [list(c) for c in zip(*self.codes[i].G)]
+            words = gf.matmul(scheme.q, Gt, digits.reshape(k, -1))
+            words = words.reshape(scheme.N_sbs, library.beta, -1).transpose(1, 0, 2)
             self.messages[i] = stripes
-            self.symbols[i] = rows
-
-    def _encode_row(self, code: codes.LinearCode, msg: Sequence[int], field) -> list[int]:
-        Gemb = [[gf.embed(x, code.field, field) for x in row] for row in code.G]
-        return gf.mat_vec(field, [list(c) for c in zip(*Gemb)], msg)
-
-    @property
-    def symbol_field(self):
-        """GF(q^{delta_max}), the field all protocol arithmetic runs in."""
-        return gf.make_field(self.scheme.q, self.delta_max) if self.delta_max else None
+            self.symbols[i] = [space.ints(w) for w in words]
 
     def cache_column(self, sbs_j: int) -> list[int]:
         """Symbols stored at SBS j for all cached files, file-major then
-        stripe-minor, embedded into GF(q^{delta_max})."""
+        stripe-minor; file i's delta_i digits sit in the low digits of
+        GF(q)^{delta_max}, so its symbol ints are unchanged."""
         if not 0 <= sbs_j < self.scheme.N_sbs:
             raise ValueError("unknown SBS index")
-        big = self.symbol_field
-        out = []
-        for i in self.scheme.cached_files():
-            small = self.fields[i]
-            for a in range(self.library.beta):
-                out.append(gf.embed(self.symbols[i][a][sbs_j], small, big))
-        return out
+        return [row[sbs_j] for i in self.scheme.cached_files()
+                for row in self.symbols[i]]
 
     def mbs_column(self, coord: int) -> list[int]:
         """Storage-code coordinate ``coord`` as served by the MBS for a
@@ -240,14 +213,14 @@ class EncodedCache:
         """Erasure-decode file i's stripes from >= k_i symbols at the given
         storage-code coordinates; returns the file's bit stripes."""
         code = self.codes[i]
-        field = self.fields[i]
+        symbol_bits = self.deltas[i] * gf.factor_prime_power(self.scheme.q)[1]
         out = []
         for syms in symbols_by_stripe:
             word: list[Optional[int]] = [None] * code.n
             for c, s in zip(coords, syms):
                 word[c] = s
-            msg = codes.solve_message(code, word, symbol_field=field)
-            out.append(unpack_stripe(msg, field, self.library.L))
+            msg = codes.solve_message(code, word)
+            out.append(unpack_stripe(msg, symbol_bits, self.library.L))
         return out
 
 
@@ -257,6 +230,11 @@ class EncodedCache:
 # byte-aligned per stripe) then cached symbols (file-major, stripe-major,
 # coordinate-minor, fixed width per file)
 # ---------------------------------------------------------------------------
+
+def _symbol_bytes(q: int, delta: int) -> int:
+    """Fixed byte width of a GF(q)^delta symbol in a snapshot."""
+    return ((q ** delta - 1).bit_length() + 7) // 8
+
 
 def save_snapshot(path: str, cache: EncodedCache) -> None:
     lib, scheme = cache.library, cache.scheme
@@ -284,7 +262,7 @@ def save_snapshot(path: str, cache: EncodedCache) -> None:
             val <<= (stripe_bytes * 8 - lib.L)
             body += val.to_bytes(stripe_bytes, "big")
     for i in scheme.cached_files():
-        width = ((cache.fields[i].order - 1).bit_length() + 7) // 8
+        width = _symbol_bytes(scheme.q, cache.deltas[i])
         for a in range(lib.beta):
             for s in cache.symbols[i][a]:
                 body += s.to_bytes(width, "big")
@@ -340,7 +318,7 @@ def load_snapshot(path: str) -> EncodedCache:
         raise SnapshotError(f"snapshot header does not describe a cache: {e}")
     if (cache.delta_max, cache.pad_bits) != (header["delta_max"], header["pad_bits"]):
         raise SnapshotError("snapshot header packing inconsistent with its library")
-    widths = {i: ((f.order - 1).bit_length() + 7) // 8 for i, f in cache.fields.items()}
+    widths = {i: _symbol_bytes(scheme.q, d) for i, d in cache.deltas.items()}
     expected = off + beta * scheme.N_sbs * sum(widths.values())
     if len(body) != expected:
         problem = "truncated" if len(body) < expected else "too long"

@@ -7,7 +7,8 @@ Hadamard product and sum codes, information sets, erasure-pattern
 correctability, and erasure decoding.
 
 Codewords and matrices are lists of field-element ints as in
-:mod:`edgepir.gf`.  Coordinates are 0-based throughout.
+:mod:`edgepir.gf`; the decoders also take symbols of several GF(q) digits,
+one right-hand side per digit.  Coordinates are 0-based throughout.
 """
 
 from __future__ import annotations
@@ -207,32 +208,37 @@ def correctable(code: LinearCode, pattern: Sequence[int]) -> bool:
     return gf.rank(code.field, sub) == len(chi)
 
 
-def solve_message(code: LinearCode, word: Sequence[Optional[int]],
-                  symbol_field: Optional[Field] = None) -> list[int]:
+def solve_message(code: LinearCode, word: Sequence[Optional[int]]) -> list[int]:
     """The message m whose codeword m G agrees with ``word`` on its
-    non-None coordinates, by one elimination.  ``symbol_field`` lets symbols
-    live in an extension of the code's field (generator entries are
-    embedded); defaults to the code field."""
-    F = symbol_field or code.field
+    non-None coordinates, by one elimination over the code's field.
+
+    Entries may be symbols of several base-q digits (see :mod:`edgepir.gf`);
+    each digit position is one right-hand-side column, so the message
+    symbols have as many digits as the longest entry.
+    """
+    q = code.field.order
     known = [j for j, w in enumerate(word) if w is not None]
-    # (G|_known)^T m = word|_known, augmented with the right-hand side
-    aug = [[gf.embed(row[c], code.field, F) for row in code.G] + [word[c]]
+    delta = gf.digit_count((word[c] for c in known), q)
+    # (G|_known)^T m = word|_known, augmented with one column per digit
+    aug = [[row[c] for row in code.G] + gf.to_digits(word[c], q, delta)
            for c in known]
-    R, pivots = gf.rref(F, aug)
-    if code.k in pivots:
+    R, pivots = gf.rref(code.field, aug)
+    if pivots and pivots[-1] >= code.k:
         raise ValueError("received symbols are not consistent with the code")
     if len(pivots) < code.k:
         raise ValueError("erasure pattern not decodable: no information set survives")
-    return [R[i][code.k] for i in range(code.k)]
+    return [gf.from_digits(R[i][code.k:], q) for i in range(code.k)]
 
 
-def erasure_decode(code: LinearCode, word: Sequence[Optional[int]],
-                   symbol_field: Optional[Field] = None) -> list[int]:
+def erasure_decode(code: LinearCode, word: Sequence[Optional[int]]) -> list[int]:
     """The unique codeword agreeing with ``word`` on its non-None
     coordinates (see :func:`solve_message`)."""
-    F = symbol_field or code.field
-    Gt = [[gf.embed(x, code.field, F) for x in col] for col in zip(*code.G)]
-    return gf.mat_vec(F, Gt, solve_message(code, word, symbol_field))
+    q = code.field.order
+    msg = solve_message(code, word)
+    delta = gf.digit_count(msg, q)
+    M = [gf.to_digits(m, q, delta) for m in msg]
+    return [gf.from_digits(row, q)
+            for row in gf.mat_mul(code.field, _transpose(code.G), M)]
 
 
 def dual_min_distance(code: LinearCode) -> int:

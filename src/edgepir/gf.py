@@ -1,17 +1,19 @@
-"""Exact arithmetic over prime-power finite fields and their extensions.
+"""Exact arithmetic over prime-power fields GF(q), symbols as GF(q) digit
+vectors, and dense linear algebra.
 
-Elements are encoded as plain Python ints in ``range(field.order)``.  For a
-prime field GF(p) the int is the residue itself.  For an extension field
-GF(B^d) over a base field B, the int is read as d base-|B| digits, least
-significant digit first: digit j is the coefficient of x^j of the element's
-polynomial representation.  This makes 0 and 1 the additive and
-multiplicative identities of every field, and makes the canonical copy of
-the base field inside an extension simply the ints ``range(base.order)``.
+Field elements are plain Python ints in ``range(field.order)``.  For a
+prime field GF(p) the int is the residue itself.  For GF(p^m) = GF(p)[x]/f
+the int is read as m base-p digits, least significant digit first: digit j
+is the coefficient of x^j.  So 0 and 1 are the identities of every field.
 
-Towers are supported (e.g. GF(4) = ExtField(GF(2), 2) and then
-GF(4^3) = ExtField(GF(4), 3)), which is how GF(q^delta) for prime-power q
-is built.  Subfield embeddings GF(B^d) -> GF(B^d') for d | d' are computed
-by locating a root of the small field's modulus in the big field.
+The retrieval scheme is GF(q)-linear: queries, parity checks and storage
+generators all live in GF(q).  A symbol of a file cached at rate 1/k_i is
+therefore a vector of delta_i GF(q) digits (:class:`SymbolSpace`), packed
+into the int whose base-q digits, least significant first, are those
+digits.  File i occupies the low delta_i digits of GF(q)^{delta_max}: the
+inclusion zero-pads (:func:`embed`, which leaves the int unchanged) and
+:func:`project` is its checked inverse.  :func:`matmul` multiplies a GF(q)
+matrix into digit arrays with log/antilog tables (q = 2^m).
 
 Dense linear algebra (rank / solve / invert / null space) is provided as
 module functions operating on lists of rows of ints.
@@ -21,6 +23,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 Matrix = list  # list[list[int]]; rows of field-element ints
 
@@ -53,6 +57,23 @@ def factor_prime_power(q: int) -> tuple[int, int]:
                 raise ValueError(f"not a prime power: {q}")
             return p, m
     raise ValueError(f"not a prime power: {q}")
+
+
+def to_digits(x: int, q: int, delta: int) -> list[int]:
+    """The delta base-q digits of x, least significant first."""
+    out = []
+    for _ in range(delta):
+        x, d = divmod(x, q)
+        out.append(d)
+    return out
+
+
+def from_digits(digits: Sequence[int], q: int) -> int:
+    """Inverse of :func:`to_digits`."""
+    x = 0
+    for d in reversed(digits):
+        x = x * q + d
+    return x
 
 
 class PrimeField:
@@ -255,7 +276,6 @@ class ExtField:
         if not poly_is_irreducible(base, modulus):
             raise ValueError("modulus is reducible")
         self.modulus = modulus
-        self._embed_maps: dict = {}
         if self.order <= self._TABLE_LIMIT:
             self._mul_tab = [
                 [self._mul_poly(a, b) for b in range(self.order)]
@@ -266,21 +286,12 @@ class ExtField:
 
     # -- encoding ----------------------------------------------------------
     def to_coeffs(self, a: int) -> list[int]:
-        q = self.base.order
-        out = []
-        for _ in range(self.degree):
-            out.append(a % q)
-            a //= q
-        return out
+        return to_digits(a, self.base.order, self.degree)
 
     def from_coeffs(self, coeffs: Sequence[int]) -> int:
         if len(coeffs) > self.degree:
             raise ValueError("too many coefficients")
-        q = self.base.order
-        a = 0
-        for c in reversed(list(coeffs)):
-            a = a * q + c
-        return a
+        return from_digits(list(coeffs), self.base.order)
 
     # -- arithmetic --------------------------------------------------------
     def add(self, a: int, b: int) -> int:
@@ -355,141 +366,105 @@ Field = PrimeField | ExtField
 
 
 @lru_cache(maxsize=None)
-def make_field(q: int, delta: int = 1, modulus: Optional[tuple] = None) -> Field:
-    """Construct GF(q^delta) for a prime power q.
+def make_field(q: int) -> Field:
+    """GF(q) for a prime power q = p^m.
 
-    With no explicit modulus, all defining polynomials are the
-    lexicographically smallest irreducible ones, so repeated calls with the
-    same arguments return the identical field.
+    For m > 1 the defining polynomial is the lexicographically smallest
+    irreducible one over GF(p), so repeated calls return the identical field.
     """
     p, m = factor_prime_power(q)
-    base: Field = PrimeField(p)
-    if m > 1:
-        base = ExtField(base, m)
-    if delta == 1:
-        if modulus is not None:
-            raise ValueError("modulus given for a degree-1 extension")
-        return base
-    return ExtField(base, delta, modulus)
+    return PrimeField(p) if m == 1 else ExtField(PrimeField(p), m)
 
 
 # ---------------------------------------------------------------------------
-# subfield embeddings
+# symbols: vectors of base-q digits
 # ---------------------------------------------------------------------------
 
-def _common_base(f: Field) -> Field:
-    return f.base if isinstance(f, ExtField) else f
+def digit_count(values: Iterable[int], q: int) -> int:
+    """Fewest base-q digits (at least one) that hold every value."""
+    top, delta = max(values, default=0), 1
+    while q ** delta <= top:
+        delta += 1
+    return delta
 
 
-def embedding_degrees(src: Field, dst: Field) -> tuple[int, int]:
-    """(degree of src, degree of dst) over their common base; src must embed."""
-    if isinstance(dst, ExtField) and src == dst.base:
-        # src is the coefficient field of dst: a degree-1 inclusion
-        return 1, dst.degree
-    if _common_base(src) != _common_base(dst):
-        raise ValueError("fields are not extensions of a common base")
-    ds = src.degree if isinstance(src, ExtField) else 1
-    dd = dst.degree if isinstance(dst, ExtField) else 1
-    if dd % ds != 0:
-        raise ValueError(f"degree {ds} does not divide {dd}")
-    return ds, dd
+def embed(digits: np.ndarray, delta: int) -> np.ndarray:
+    """GF(q)^d -> GF(q)^delta for d <= delta: zero-pad every symbol (the
+    last axis) to delta digits, which leaves its int unchanged."""
+    pad = [(0, 0)] * (digits.ndim - 1) + [(0, delta - digits.shape[-1])]
+    return np.pad(digits, pad)
 
 
-def embed(x: int, src: Field, dst: Field) -> int:
-    """Map x from GF(B^d) into GF(B^d') with d | d'.
+def project(digits: np.ndarray, delta: int) -> np.ndarray:
+    """Inverse of :func:`embed`: the low delta digits of every symbol.
 
-    The map is the unique-up-to-conjugacy B-algebra homomorphism sending the
-    generator of src to the smallest (in element encoding) root of src's
-    modulus in dst; it is injective and fixes B pointwise.
+    Raises ValueError if a higher digit is non-zero.
     """
-    if src == dst:
-        return x
-    ds, _ = embedding_degrees(src, dst)
-    if ds == 1:
-        return x  # base-field constants are the same ints in dst
-    fwd, _ = _embedding_maps(src, dst)
-    return fwd[x]
+    if digits[..., delta:].any():
+        raise ValueError(f"symbol has a non-zero digit above its low {delta}")
+    return digits[..., :delta]
 
 
-def project(y: int, src: Field, dst: Field) -> int:
-    """Inverse of :func:`embed`: pull y in dst back to src.
+@lru_cache(maxsize=None)
+def _log_exp(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Log and antilog tables of GF(q) to the first generator found.
 
-    Raises ValueError if y is not in the embedded image of src.
+    log[0] is 2q, so a sum of two logs involving 0 lands in the zero tail
+    of exp, and exp repeats its q - 1 powers so nonzero sums need no mod.
     """
-    if src == dst:
-        return y
-    ds, _ = embedding_degrees(src, dst)
-    if ds == 1:
-        if y >= src.order:
-            raise ValueError("element not in subfield image")
-        return y
-    _, back = _embedding_maps(src, dst)
-    if y not in back:
-        raise ValueError("element not in subfield image")
-    return back[y]
-
-
-def _multiplicative_generator(F) -> int:
-    """Smallest generator of F's multiplicative group (cached per field)."""
-    g = getattr(F, "_mult_gen", None)
-    if g is not None:
-        return g
-    m = F.order - 1
-    primes = _prime_factors(m) if m > 1 else []
-    g = 2
-    while g < F.order:
-        if all(F.pow(g, m // p) != 1 for p in primes):
-            F._mult_gen = g
-            return g
-        g += 1
-    F._mult_gen = 1  # GF(2): the trivial group
-    return 1
-
-
-def _embedding_maps(src: ExtField, dst: Field) -> tuple[list[int], dict]:
-    if not isinstance(dst, ExtField):
-        raise ValueError("target field has no proper subfield to embed into")
-    key = (hash(src), src.order)
-    if key in dst._embed_maps:
-        return dst._embed_maps[key]
-    base = src.base
-    # every root of src.modulus in dst lies in the unique subfield of
-    # src.order elements, so enumerate that subfield through a generator of
-    # dst's multiplicative group rather than scanning all of dst; taking the
-    # minimum keeps the embedding identical to a full smallest-root scan
-    if (dst.order - 1) % (src.order - 1):
-        raise ValueError("target field has no subfield of the source's size")
-    g = _multiplicative_generator(dst)
-    h = dst.pow(g, (dst.order - 1) // (src.order - 1))
-    candidates = [0, 1]
-    y = h
-    while y != 1:
-        candidates.append(y)
-        y = dst.mul(y, h)
-    root = None
-    for cand in sorted(candidates):
-        acc = 0
-        for c in reversed(src.modulus):  # Horner, constants embed as ints
-            acc = dst.add(dst.mul(acc, cand), c)
-        if acc == 0:
-            root = cand
+    F = make_field(q)
+    for g in F.nonzero():
+        powers, x = [1], g
+        while x != 1:
+            powers.append(x)
+            x = F.mul(x, g)
+        if len(powers) == q - 1:
             break
-    if root is None:
-        raise ValueError("modulus has no root in target field")
-    powers = [1]
-    for _ in range(src.degree - 1):
-        powers.append(dst.mul(powers[-1], root))
-    fwd = []
-    for x in src.elements():
-        acc = 0
-        for c, pw in zip(src.to_coeffs(x), powers):
-            acc = dst.add(acc, dst.mul(c, pw))
-        fwd.append(acc)
-    back = {v: i for i, v in enumerate(fwd)}
-    if len(back) != src.order:
-        raise RuntimeError("embedding is not injective")  # unreachable
-    dst._embed_maps[key] = (fwd, back)
-    return fwd, back
+    log = np.full(q, 2 * q, np.intp)
+    log[powers] = np.arange(q - 1)
+    exp = np.zeros(4 * q + 1, np.min_scalar_type(q - 1))
+    exp[:2 * q - 2] = powers * 2
+    return log, exp
+
+
+def matmul(q: int, A, D: np.ndarray) -> np.ndarray:
+    """A D over GF(q) for q = 2^m: A is r x k GF(q) elements, D is k x c
+    (symbol digits, or GF(q) elements); the result is r x c."""
+    log, exp = _log_exp(q)
+    A = np.asarray(A, dtype=np.intp)
+    terms = exp[log[A][:, :, None] + log[D][None]]
+    return np.bitwise_xor.reduce(terms, axis=1)
+
+
+class SymbolSpace:
+    """GF(q)^delta for q = 2^m, where every stored, served and recovered
+    symbol lives.  A symbol is the int whose base-q digits, least
+    significant first, are its coordinates; a GF(q) scalar times a symbol
+    scales every digit, and addition is digit-wise (XOR of the ints)."""
+
+    def __init__(self, q: int, delta: int):
+        if factor_prime_power(q)[0] != 2:
+            raise ValueError("symbol digits need q to be a power of 2")
+        self.q, self.delta, self.order = q, delta, q ** delta
+
+    def add(self, a: int, b: int) -> int:
+        return a ^ b
+
+    def mul(self, c: int, x: int) -> int:
+        """The GF(q) scalar c times the symbol x."""
+        return self.ints(matmul(self.q, [[c]], self.digits([x])))[0]
+
+    def digits(self, values: Sequence[int]) -> np.ndarray:
+        """len(values) x delta digit array; ValueError for a value that is
+        not a symbol."""
+        if any(not 0 <= x < self.order for x in values):
+            raise ValueError(f"symbol outside GF({self.q})^{self.delta}")
+        rows = [to_digits(x, self.q, self.delta) for x in values]
+        return np.array(rows, np.min_scalar_type(self.q - 1)).reshape(len(rows), self.delta)
+
+    def ints(self, digits: np.ndarray) -> list[int]:
+        """The symbols of the rows of a digit array."""
+        return [from_digits(row, self.q) for row in digits.tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,13 @@ blinding vectors are coordinates of random codewords of an (n, T) code Cbar
 whose dual distance exceeds T, so any T query matrices are jointly
 independent of the requested index.
 
-Responses are inner products with the SBS cache column over
-GF(q^{delta_max}).  Stacking round j's subresponses gives a vector that is
-a codeword of the retrieval code Ctilde = (sum_i C'_i) o Cbar plus the
-useful symbols on the support J_j of row j of the erasure matrix Ehat;
-applying Ctilde's parity check isolates and solves for those symbols.
+Responses are inner products of GF(q) query rows with the SBS cache
+column, whose symbols are vectors in GF(q)^{delta_max}, so every digit is
+answered independently.  Stacking round j's subresponses gives a vector
+that is a codeword of the retrieval code Ctilde = (sum_i C'_i) o Cbar plus
+the useful symbols on the support J_j of row j of the erasure matrix Ehat;
+applying Ctilde's parity check isolates those symbols, and one elimination
+over GF(q) with a right-hand side per digit solves for them.
 Gamma = n - (k_max + T - 1) symbols are freed per round, and the
 stripe bookkeeping {I_m}, {F_l} routes them to erasure decoders of the
 per-file storage codes.
@@ -218,29 +220,26 @@ def generate_queries(params: ProtocolParams, em: ErasureMatrix,
         raise ValueError("requested file is not cached")
     iota = params.cached.index(file_index)
     q = params.base_field.order
-    codewords = []
-    for _ in range(params.d):
-        round_cws = []
-        for _ in range(params.width):
-            msg = [int(rng.integers(q)) for _ in range(params.Cbar.k)]
-            round_cws.append(params.Cbar.encode(msg))
-        codewords.append(round_cws)
+    msgs = [[int(rng.integers(q)) for _ in range(params.Cbar.k)]
+            for _ in range(params.d * params.width)]
+    # all d*width blinding codewords as one product with Cbar's generator
+    words = gf.matmul(q, msgs, np.asarray(params.Cbar.G, np.intp))
+    codewords = words.reshape(params.d, params.width, params.n).tolist()
     return _queries_from_codewords(params, em, iota, codewords)
 
 
 def respond(params: ProtocolParams, Q_l: list, column: Sequence[int]) -> list[int]:
-    """One coordinate's response: Q^(l) times its cache column over
-    GF(q^{delta_max})."""
+    """One coordinate's response: Q^(l) times its cache column, one GF(q)
+    product over the column's digits."""
     big = params.big_field
     if any(len(row) != len(column) for row in Q_l):
         raise ValueError("query width does not match cache column length")
-    return [
-        _dot(big, row, column)
-        for row in Q_l
-    ]
+    return big.ints(gf.matmul(big.q, Q_l, big.digits(column)))
 
 
 def _dot(field, row: Sequence[int], col: Sequence[int]) -> int:
+    """Inner product of GF(q) scalars with symbols, one term at a time: the
+    scalar form of respond's digit product."""
     acc = 0
     for a, b in zip(row, col):
         if a and b:
@@ -261,29 +260,35 @@ def recover(params: ProtocolParams, em: ErasureMatrix, queries: QuerySet,
     ProtocolError for a missing, short or inconsistent response."""
     big = params.big_field
     i = queries.file_index
-    small = params.cache.fields[i]
     H = params.Ctilde.H
+    Gamma = params.Gamma
     if len(responses) != params.n or any(r is None or len(r) != params.d for r in responses):
         raise ProtocolError(f"need {params.n} responses of {params.d} subresponses each")
-    recovered: dict[tuple[int, int], int] = {}  # (stripe m, coord l) -> symbol
+    try:
+        rho = big.digits([s for r in responses for s in r]).reshape(params.n, params.d, -1)
+    except ValueError as e:
+        raise ProtocolError(f"malformed response: {e}")
+    recovered: dict[tuple[int, int], list] = {}  # (stripe m, coord l) -> digits
     for j in range(params.d):
-        rho = [responses[l][j] for l in range(params.n)]
-        syndrome = [_dot(big, Hrow, rho) for Hrow in H]
+        # H_J x = H rho_j, one right-hand-side column per digit
+        syndrome = gf.matmul(big.q, H, rho[:, j]).tolist()
         support = em.J[j]
-        A = [[Hrow[l] for l in support] for Hrow in H]
-        try:
-            sol = gf.solve(big, A, syndrome)
-        except gf.NoSolution:
+        aug = [[Hrow[l] for l in support] + s for Hrow, s in zip(H, syndrome)]
+        R, pivots = gf.rref(params.base_field, aug)
+        if pivots != list(range(Gamma)):
             raise ProtocolError("inconsistent responses: corrupted subresponse")
-        for l, val in zip(support, sol):
-            m = queries.s_assign[(l, j)]
-            recovered[(m, l)] = val
+        for l, row in zip(support, R):
+            recovered[(queries.s_assign[(l, j)], l)] = row[Gamma:]
     stripes_bits = []
     for m in range(params.beta):
         I = sorted(em.I_sets[m])
-        symbols = [gf.project(recovered[(m, l)], small, big) for l in I]
-        stripes_bits += params.cache.decode_file(
-            i, [params.coords[l] for l in I], [symbols])
+        digits = np.array([recovered[(m, l)] for l in I])
+        try:
+            symbols = big.ints(gf.project(digits, params.cache.deltas[i]))
+            stripes_bits += params.cache.decode_file(
+                i, [params.coords[l] for l in I], [symbols])
+        except ValueError as e:
+            raise ProtocolError(f"inconsistent responses: {e}")
     return stripes_bits
 
 
@@ -321,11 +326,11 @@ def verify_privacy(params: ProtocolParams, em: ErasureMatrix,
 def _verify_exact(params: ProtocolParams, em: ErasureMatrix,
                   coalition: list) -> dict:
     q = params.base_field.order
-    msgs = list(product(range(q), repeat=params.Cbar.k))
     draws = params.d * params.width
-    space = len(msgs) ** draws
+    space = q ** (params.Cbar.k * draws)
     if space > 1 << 20:
         raise ValueError("randomness space too large for exact enumeration")
+    msgs = list(product(range(q), repeat=params.Cbar.k))
     encoded = [params.Cbar.encode(list(m)) for m in msgs]
     dists = []
     for iota in range(len(params.cached)):

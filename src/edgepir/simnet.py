@@ -11,7 +11,7 @@ session built (monte_carlo checks them against the closed form).
 Accounting conventions (normalized by the file size beta*L):
 
 * cached file: min(b, n) SBS responses and n - min(b, n) MBS responses,
-  each d subresponses of delta_max base-field symbols;
+  each d subresponses of delta_max GF(q) digits;
 * uncached file: the full file from the MBS, plus dummy queries to the
   min(b, n) in-range SBSs whose responses are downloaded and discarded so
   spies cannot tell cached and uncached requests apart.
@@ -63,7 +63,7 @@ class RetrievalTranscript:
 
 
 def response_bits(cache: EncodedCache, d: int) -> int:
-    """Exact size of one response of d subresponses over GF(q^{delta_max})."""
+    """Exact size of one response: d subresponses of delta_max GF(q) digits."""
     _, m = gf.factor_prime_power(cache.scheme.q)
     return d * cache.delta_max * m
 

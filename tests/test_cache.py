@@ -40,26 +40,28 @@ def test_scheme_constraints():
         cache.CachingScheme(4, 2, [Fraction(2, 3)])  # not 1/k
 
 
-def test_pack_file_example_shapes():
-    packed, field, pad = cache.pack_file([[1, 0, 0, 1, 1]], 1, 2, 5)
-    assert field.order == 32 and pad == 0
-    assert packed == [[0b10011]]
-    packed, field, pad = cache.pack_file([[1, 0, 0, 1, 1]], 5, 2, 5)
-    assert field.order == 2 and pad == 0
-    assert packed == [[1, 0, 0, 1, 1]]
+def test_pack_stripe_example_shapes():
+    scheme = cache.CachingScheme(6, 6, [Fraction(1), Fraction(1, 5)], q=2)
+    assert cache.packing_params(scheme, 5) == (5, {0: 5, 1: 1}, 0)
+    assert cache.pack_stripe([1, 0, 0, 1, 1], 1) == [0b10011]
+    assert cache.pack_stripe([1, 0, 0, 1, 1], 5) == [1, 0, 0, 1, 1]
 
 
 def test_pack_zero_bits():
-    packed, field, _ = cache.pack_file([[0] * 6], 3, 2, 6)
-    assert packed == [[0, 0, 0]]
+    assert cache.pack_stripe([0] * 6, 3) == [0, 0, 0]
 
 
 def test_pack_unpack_roundtrip_with_padding():
     rng = np.random.default_rng(0)
     for k, q, L in [(3, 2, 7), (2, 4, 9), (1, 8, 10), (4, 2, 4)]:
+        scheme = cache.CachingScheme(k + 1, 1, [Fraction(1, k)], q=q)
+        _, deltas, pad = cache.packing_params(scheme, L)
+        symbol_bits = deltas[0] * gf.factor_prime_power(q)[1]
+        assert symbol_bits * k == L + pad
         bits = [int(rng.integers(2)) for _ in range(L)]
-        packed, field, pad = cache.pack_file([bits], k, q, L)
-        assert cache.unpack_stripe(packed[0], field, L) == bits
+        packed = cache.pack_stripe(bits + [0] * pad, k)
+        assert all(0 <= s < q ** deltas[0] for s in packed)
+        assert cache.unpack_stripe(packed, symbol_bits, L) == bits
 
 
 def test_packing_params_divisibility():
@@ -78,19 +80,17 @@ def test_encoded_rows_are_codewords():
     enc = example_cache()
     for i in enc.scheme.cached_files():
         code = enc.codes[i]
-        field = enc.fields[i]
+        q, delta = enc.scheme.q, enc.deltas[i]
         for row in enc.symbols[i]:
-            # parity checks hold over the symbol field
-            for hrow in code.H:
-                acc = 0
-                for h, s in zip(hrow, row):
-                    acc = field.add(acc, field.mul(gf.embed(h, code.field, field), s))
-                assert acc == 0
+            # parity checks hold over GF(q), digit by digit
+            for e in range(delta):
+                digit = [gf.to_digits(s, q, delta)[e] for s in row]
+                assert code.contains(digit)
 
 
 def test_example_layout():
-    """SBS j stores the repeated GF(2^5) symbol and coordinate j of the
-    parity-check codeword."""
+    """SBS j stores the repeated 5-digit GF(2) symbol and coordinate j of
+    the parity-check codeword."""
     enc = example_cache()
     x1 = 0b10011
     assert enc.symbols[0][0] == [x1] * 6
@@ -102,7 +102,7 @@ def test_example_layout():
 def test_cache_column_example():
     enc = example_cache()
     col6 = enc.cache_column(5)
-    assert col6 == [0b10011, gf.embed(1, gf.make_field(2), gf.make_field(2, 5))]
+    assert col6 == [0b10011, 1]  # file 1's one digit, zero-padded to five
     with pytest.raises(ValueError):
         enc.cache_column(6)
 

@@ -216,13 +216,25 @@ def test_erasure_decode_grs_roundtrip_random():
         assert codes.erasure_decode(c, word) == cw
 
 
-def test_erasure_decode_in_extension_symbol_field():
-    """Repetition code over GF(2) acting on GF(2^5) symbols."""
+def test_erasure_decode_symbols_of_several_digits():
+    """Symbols of delta GF(q) digits decode with one right-hand side per
+    digit: a repetition code over GF(2) on 5-digit symbols, and a GRS code
+    over GF(8) on 4-digit symbols checked digit by digit."""
     rep = codes.repetition_code(GF2, 6)
-    big = gf.make_field(2, 5)
     word = [None] * 6
     word[0] = 27
-    assert codes.erasure_decode(rep, word, symbol_field=big) == [27] * 6
+    assert codes.erasure_decode(rep, word) == [27] * 6
+    c = codes.grs(GF8, 7, 3)
+    rnd = random.Random(4)
+    msg = [rnd.randrange(8 ** 4) for _ in range(3)]
+    per_digit = [c.encode([gf.to_digits(m, 8, 4)[e] for m in msg]) for e in range(4)]
+    cw = [gf.from_digits([per_digit[e][j] for e in range(4)], 8) for j in range(7)]
+    word = [None, cw[1], None, cw[3], None, cw[5], None]
+    assert codes.solve_message(c, word) == msg
+    assert codes.erasure_decode(c, word) == cw
+    word[0] = cw[0] ^ (1 << 9)  # one corrupted high digit
+    with pytest.raises(ValueError, match="not consistent"):
+        codes.solve_message(c, word)
 
 
 def test_dual_min_distance():
@@ -252,7 +264,7 @@ def test_mds_flag_exhaustive_small():
 
 @pytest.mark.parametrize("n,k", [(4, 2), (5, 3), (6, 2), (7, 4), (8, 5)])
 def test_grs_mds_exhaustive(n, k):
-    F = gf.make_field(2, 3) if n <= 7 else gf.make_field(2, 4)
+    F = gf.make_field(8) if n <= 7 else gf.make_field(16)
     c = codes.grs(F, n, k)
     for I in combinations(range(n), k):
         assert codes.is_information_set(c, I)

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,8 @@ from edgepir import gf
 SMALL_FIELDS = [
     gf.make_field(2), gf.make_field(3), gf.make_field(5),
     gf.make_field(4), gf.make_field(8), gf.make_field(9),
-    gf.make_field(2, 5), gf.make_field(2, 2), gf.make_field(4, 2),
+    gf.make_field(32), gf.ExtField(gf.PrimeField(2), 2),
+    gf.ExtField(gf.make_field(4), 2),
 ]
 
 
@@ -22,10 +24,10 @@ def test_make_field_rejects_non_prime_power():
             gf.make_field(q)
 
 
-def test_make_field_rejects_reducible_modulus():
+def test_ext_field_rejects_reducible_modulus():
     # x^2 + 1 = (x+1)^2 over GF(2)
     with pytest.raises(ValueError):
-        gf.make_field(2, 2, modulus=(1, 0, 1))
+        gf.ExtField(gf.PrimeField(2), 2, modulus=(1, 0, 1))
 
 
 def test_gf2_basics():
@@ -41,7 +43,7 @@ def test_gf5_mul():
 
 def test_gf4_defining_polynomial():
     # with modulus x^2 + x + 1, alpha * alpha = alpha + 1
-    F = gf.make_field(2, 2, modulus=(1, 1, 1))
+    F = gf.ExtField(gf.PrimeField(2), 2, modulus=(1, 1, 1))
     alpha = 2  # the polynomial x
     assert F.mul(alpha, alpha) == F.add(alpha, 1)
 
@@ -81,7 +83,7 @@ def test_inv_zero_raises():
 
 
 def test_pow_matches_repeated_mul():
-    F = gf.make_field(2, 5)
+    F = gf.make_field(32)
     for a in (1, 7, 19, 31):
         acc = 1
         for e in range(10):
@@ -93,65 +95,101 @@ def test_pow_matches_repeated_mul():
 @given(st.integers(0, 31), st.integers(0, 31), st.integers(0, 31))
 @settings(max_examples=200, deadline=None)
 def test_gf32_ring_axioms_property(a, b, c):
-    F = gf.make_field(2, 5)
+    F = gf.make_field(32)
     assert F.add(a, b) == F.add(b, a)
     assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
 
 
-# -- embeddings -------------------------------------------------------------
+# -- symbols: zero-padding embedding and the digit kernel ------------------
+
+def digits(q, delta, values):
+    return gf.SymbolSpace(q, delta).digits(values)
+
 
 def test_embed_fixes_0_and_1():
-    src, dst = gf.make_field(2), gf.make_field(2, 5)
-    assert gf.embed(0, src, dst) == 0
-    assert gf.embed(1, src, dst) == 1
+    padded = gf.embed(digits(2, 1, [0, 1]), 5)
+    assert padded.shape == (2, 5)
+    assert gf.SymbolSpace(2, 5).ints(padded) == [0, 1]
 
 
 def test_embed_gf2_into_gf32_homomorphism_exhaustive():
-    src, dst = gf.make_field(2), gf.make_field(2, 5)
-    for a in src.elements():
-        for b in src.elements():
-            assert gf.embed(src.add(a, b), src, dst) == \
-                dst.add(gf.embed(a, src, dst), gf.embed(b, src, dst))
-            assert gf.embed(src.mul(a, b), src, dst) == \
-                dst.mul(gf.embed(a, src, dst), gf.embed(b, src, dst))
+    """Zero padding GF(2)^1 into GF(2)^5 commutes with addition and with
+    scaling by GF(2)."""
+    src, dst = gf.SymbolSpace(2, 1), gf.SymbolSpace(2, 5)
+    emb = lambda a: dst.ints(gf.embed(src.digits([a]), 5))[0]
+    for a in range(2):
+        for b in range(2):
+            assert emb(src.add(a, b)) == dst.add(emb(a), emb(b))
+            assert emb(src.mul(b, a)) == dst.mul(b, emb(a))
 
 
 @pytest.mark.parametrize("d1,d2", [(1, 2), (1, 3), (2, 4), (2, 6), (3, 6)])
 def test_embed_homomorphism_and_roundtrip(d1, d2):
-    src = gf.make_field(2, d1)
-    dst = gf.make_field(2, d2)
-    images = set()
-    for a in src.elements():
-        ea = gf.embed(a, src, dst)
-        images.add(ea)
-        assert gf.project(ea, src, dst) == a
-        for b in src.elements():
-            assert gf.embed(src.mul(a, b), src, dst) == \
-                dst.mul(ea, gf.embed(b, src, dst))
-            assert gf.embed(src.add(a, b), src, dst) == \
-                dst.add(ea, gf.embed(b, src, dst))
-    assert len(images) == src.order  # injective
+    """Zero padding GF(2)^d1 into GF(2)^d2 is linear, injective, keeps every
+    int, and project undoes it."""
+    src, dst = gf.SymbolSpace(2, d1), gf.SymbolSpace(2, d2)
+    xs = list(range(src.order))
+    padded = gf.embed(src.digits(xs), d2)
+    assert dst.ints(padded) == xs  # the int is unchanged, so injective
+    assert np.array_equal(gf.project(padded, d1), src.digits(xs))
+    for a in xs:
+        for b in xs:
+            s = dst.ints(gf.embed(src.digits([src.add(a, b)]), d2))[0]
+            assert s == dst.add(a, b)
 
 
-def test_embed_requires_dividing_degree():
+def test_embed_rejects_fewer_digits():
     with pytest.raises(ValueError):
-        gf.embed(1, gf.make_field(2, 2), gf.make_field(2, 5))
+        gf.embed(digits(2, 5, [1]), 2)
 
 
 def test_project_rejects_outside_image():
-    src, dst = gf.make_field(2, 2), gf.make_field(2, 4)
-    image = {gf.embed(a, src, dst) for a in src.elements()}
-    outside = next(y for y in dst.elements() if y not in image)
-    with pytest.raises(ValueError):
-        gf.project(outside, src, dst)
+    """A symbol of GF(2)^4 with a non-zero digit above the low two is not
+    in the image of GF(2)^2."""
+    image = gf.SymbolSpace(2, 2).order
+    for y in range(image, 16):
+        with pytest.raises(ValueError, match="non-zero digit"):
+            gf.project(digits(2, 4, [y]), 2)
 
 
 def test_base_of_extension_tower_embeds_as_identity_ints():
-    # GF(4) inside GF(4^3): constants 0..3 stay themselves
-    src = gf.make_field(4)
-    dst = gf.make_field(4, 3)
-    for a in src.elements():
-        assert gf.embed(a, src, dst) == a
+    # GF(4) digits inside GF(4)^3: constants 0..3 stay themselves
+    padded = gf.embed(digits(4, 1, [0, 1, 2, 3]), 3)
+    assert gf.SymbolSpace(4, 3).ints(padded) == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("q", [2, 4, 8, 16, 256])
+def test_matmul_matches_field_mul(q):
+    """The log/antilog kernel against the field's own mul and add."""
+    F = gf.make_field(q)
+    rnd = random.Random(q)
+    A = [[rnd.randrange(q) for _ in range(5)] for _ in range(3)]
+    D = [[rnd.randrange(q) for _ in range(4)] for _ in range(5)]
+    D[0] = [0] * 4
+    A[1][2] = 0
+    got = gf.matmul(q, A, np.array(D, np.min_scalar_type(q - 1)))
+    assert got.tolist() == gf.mat_mul(F, A, D)
+    if q <= 16:  # every product of two elements
+        pairs = gf.matmul(q, [[a] for a in range(q)], np.arange(q).reshape(1, q))
+        assert pairs.tolist() == [[F.mul(a, b) for b in range(q)] for a in range(q)]
+
+
+def test_symbol_mul_scales_every_digit():
+    space = gf.SymbolSpace(8, 3)
+    F = gf.make_field(8)
+    for c in range(8):
+        for x in (0, 1, 0o123, 0o777):
+            expect = [F.mul(c, d) for d in gf.to_digits(x, 8, 3)]
+            assert space.mul(c, x) == gf.from_digits(expect, 8)
+
+
+def test_symbol_space_rejects_out_of_range_ints():
+    space = gf.SymbolSpace(8, 2)
+    for bad in (-1, 64, 1 << 20):
+        with pytest.raises(ValueError, match="outside"):
+            space.digits([bad])
+    with pytest.raises(ValueError):
+        gf.SymbolSpace(9, 2)
 
 
 # -- linear algebra ---------------------------------------------------------
@@ -221,7 +259,7 @@ def test_solve_inconsistent_raises():
 
 
 def test_invert_roundtrip_and_singular():
-    F = gf.make_field(2, 3)
+    F = gf.make_field(8)
     rnd = random.Random(5)
     n = 3
     found = 0

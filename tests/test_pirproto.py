@@ -1,13 +1,16 @@
 """PIR protocol: parameterization, erasure matrix, queries, recovery,
 privacy."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
-from edgepir import cache, codes, gf, pirproto
+from edgepir import cache, codes, pirproto
 from edgepir.spec import ProtocolError
 
 
@@ -228,11 +231,10 @@ def test_example_rho_decomposition():
     resp = pirproto.collect_responses(params, qs, cols)
     big = params.big_field
     x1 = 0b10011
-    spc = enc.symbols[1][0]
-    embed2 = lambda v: gf.embed(v, enc.fields[1], big)
+    spc = enc.symbols[1][0]  # one digit each; zero padding keeps the ints
     rho1 = [resp[l][0] for l in range(6)]
     for l in range(6):
-        expect = big.add(x1, embed2(spc[l]))
+        expect = big.add(x1, spc[l])
         if l == 0:
             expect = big.add(expect, x1)
         assert rho1[l] == expect
@@ -282,9 +284,9 @@ def test_corrupted_response_detected():
     qs = pirproto.generate_queries(params, em, 1, rng)
     cols = [enc.cache_column(j) for j in range(6)]
     resp = pirproto.collect_responses(params, qs, cols)
-    # push the solved symbol outside the image of the file's subfield
+    # set a digit of the solved symbol above file 1's single digit
     resp[2][1] = params.big_field.add(resp[2][1], 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ProtocolError):
         pirproto.recover(params, em, qs, resp)
 
 
@@ -377,3 +379,51 @@ def test_recover_rejects_missing_or_short_response(damage):
     resp[3] = resp[3][:-1] if damage == "short" else None
     with pytest.raises(ProtocolError, match="need 6 responses of 5 subresponses each"):
         pirproto.recover(params, em, qs, resp)
+
+
+def test_corrupted_multirate_response_fails_typed():
+    """On a multi-rate cache (k in {1, 2}, q = 8), a subresponse with 1,
+    2^5 or 2^20 XOR-ed in either raises ProtocolError or returns bits;
+    it never surfaces as a bare ValueError."""
+    rng = np.random.default_rng(0)
+    mu = [Fraction(1)] * 2 + [Fraction(1, 2)] * 4 + [Fraction(0)] * 2
+    lib = cache.FileLibrary.random(8, 4, 24, [1 / 8] * 8, rng)
+    enc = cache.EncodedCache(lib, cache.CachingScheme(6, sum(mu), mu, q=8))
+    params = pirproto.plan_protocol(enc, T=1, n=6)
+    em = pirproto.build_erasure_matrix(params)
+    cols = [enc.cache_column(c) for c in params.coords]
+    for i in (0, 2):
+        qs = pirproto.generate_queries(params, em, i, rng)
+        resp = pirproto.collect_responses(params, qs, cols)
+        assert pirproto.recover(params, em, qs, resp) == lib.files[i]
+        for l, j, v in product(range(params.n), range(params.d), (1, 1 << 5, 1 << 20)):
+            bad = [list(r) for r in resp]
+            bad[l][j] ^= v
+            try:
+                pirproto.recover(params, em, qs, bad)
+            except ProtocolError:
+                pass
+
+
+def test_exact_privacy_refuses_before_enumerating():
+    """q^T = 2^28 blinding messages: the refusal must come from the size
+    check, not from building the message list, so it fits in 1 GB."""
+    code = ("import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from fractions import Fraction\n"
+            "import numpy as np\n"
+            "from edgepir import cache, pirproto\n"
+            "lib = cache.FileLibrary.random(1, 1, 7, [1.0], np.random.default_rng(0))\n"
+            "scheme = cache.CachingScheme(5, 1, [Fraction(1)], q=128)\n"
+            "params = pirproto.plan_protocol(cache.EncodedCache(lib, scheme), T=4, n=5)\n"
+            "em = pirproto.build_erasure_matrix(params)\n"
+            "try:\n"
+            "    pirproto.verify_privacy(params, em, [0], mode='exact')\n"
+            "except ValueError as e:\n"
+            "    print(type(e).__name__, e)\n")
+    src = os.path.dirname(os.path.dirname(pirproto.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == \
+        "ValueError randomness space too large for exact enumeration"

@@ -1,5 +1,8 @@
 """Simulated network sessions and their exact bit accounting."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -168,3 +171,47 @@ def test_monte_carlo_counts_bits_from_responses(monkeypatch):
     with pytest.raises(RuntimeError, match="closed form"):
         simnet.monte_carlo(net, 1, 6, trials=10, rng=np.random.default_rng(0),
                            full_sessions=1)
+
+
+def run_child(code: str, timeout: float = 60) -> str:
+    """Run ``code`` in a fresh interpreter; a hang fails the test at the
+    timeout instead of stalling the suite."""
+    src = os.path.dirname(os.path.dirname(simnet.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=timeout)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+SESSIONS = """
+from fractions import Fraction
+import numpy as np
+from edgepir import cache, simnet
+F, beta, L, q, N, n, T, mu, sessions = {args}
+rng = np.random.default_rng(0)
+lib = cache.FileLibrary.random(F, beta, L, [1 / F] * F, rng)
+enc = cache.EncodedCache(lib, cache.CachingScheme(N, sum(mu), mu, q=q))
+net = simnet.Network(enc, [0.0] * N + [1.0])
+for s in range(sessions):
+    f = s % F
+    tr = simnet.run_retrieval(net, T, n, f, rng, b=s % (N + 1))
+    assert tr.success and tr.cached == (mu[f] != 0)
+print(enc.delta_max)
+"""
+
+
+@pytest.mark.parametrize("args,delta_max", [
+    # the multi-rate shape (k in {1, 2}, q = 8) at realistic stripe lengths:
+    # every file and every in-range count from 0 to N
+    ("8, 4, 40, 8, 6, 6, 1, [Fraction(1)] * 2 + [Fraction(1, 2)] * 4 + [Fraction(0)] * 2, 16",
+     14),
+    ("8, 4, 128, 8, 6, 6, 1, [Fraction(1)] * 2 + [Fraction(1, 2)] * 4 + [Fraction(0)] * 2, 16",
+     44),
+    # 512-bit stripes at q = 16, k = 3
+    ("2, 1, 512, 16, 6, 4, 1, [Fraction(1, 3)] * 2, 4", 43),
+], ids=["multirate-L40", "multirate-L128", "q16-k3-L512"])
+def test_realistic_stripes_recover_bit_exactly(args, delta_max):
+    """run_retrieval raises VerificationError unless the recovered file is
+    bit-identical to the library's."""
+    assert int(run_child(SESSIONS.format(args=args))) == delta_max

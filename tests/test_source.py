@@ -1,9 +1,11 @@
 """Static checks on the package source."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "edgepir"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "edgepir"
 
 
 def test_no_assert_statements():
@@ -14,3 +16,14 @@ def test_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found, found
+
+
+def test_traced_benchmark_names_exist():
+    """The traced benchmark wraps library functions by name; its tracer
+    looks every one of them up when it is built, so a deleted or renamed
+    name fails here rather than in a benchmark run."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert all(callable(fn) for fn in spans.Tracer()._originals.values())
