@@ -31,6 +31,21 @@ from .spec import SnapshotError
 MAGIC = b"EPIR"
 
 
+def check_popularity(popularity: Sequence[float], F: int) -> list[float]:
+    """The popularity vector as a list, checked to hold F non-negative,
+    non-increasing entries that sum to 1."""
+    p = list(popularity)
+    if len(p) != F:
+        raise ValueError(f"popularity has {len(p)} entries for {F} files")
+    if any(x < 0 for x in p):
+        raise ValueError("popularity entries must be non-negative")
+    if any(p[i] < p[i + 1] - 1e-12 for i in range(F - 1)):
+        raise ValueError("popularity must be non-increasing")
+    if abs(sum(p) - 1.0) > 1e-12:
+        raise ValueError("popularity must sum to 1")
+    return p
+
+
 class FileLibrary:
     """F files, each beta stripes of L bits, with a popularity vector."""
 
@@ -47,14 +62,7 @@ class FileLibrary:
                 raise ValueError("every file must be beta stripes of L bits")
             if any(b not in (0, 1) for s in f for b in s):
                 raise ValueError("file contents must be bits")
-        p = list(popularity)
-        if len(p) != self.F:
-            raise ValueError("popularity length must equal file count")
-        if any(p[i] < p[i + 1] - 1e-12 for i in range(self.F - 1)):
-            raise ValueError("popularity must be non-increasing")
-        if abs(sum(p) - 1.0) > 1e-12:
-            raise ValueError("popularity must sum to 1")
-        self.popularity = p
+        self.popularity = check_popularity(popularity, self.F)
 
     @classmethod
     def random(cls, F: int, beta: int, L: int, popularity: Sequence[float], rng):

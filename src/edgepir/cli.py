@@ -62,6 +62,13 @@ def build_popularity(lib_cfg: dict) -> list[float]:
     raise ConfigError("library needs 'alpha' or 'popularity'")
 
 
+def checked_popularity(lib_cfg: dict) -> list[float]:
+    """build_popularity's vector, checked as a FileLibrary checks it,
+    against F when the config gives it."""
+    p = build_popularity(lib_cfg)
+    return cache_mod.check_popularity(p, lib_cfg.get("F", len(p)))
+
+
 def build_gamma(top_cfg: dict, seed: int):
     sources = [k for k in ("gamma", "grid", "ppp") if k in top_cfg]
     if len(sources) != 1:
@@ -181,9 +188,9 @@ def cmd_rates(args) -> int:
 def cmd_optimize(args) -> int:
     cfg = load_config(args)
     gamma = build_gamma(cfg["topology"], args.seed)
-    p = build_popularity(cfg["library"])
+    p = checked_popularity(cfg["library"])
     M = Fraction(cfg["scheme"]["M"])
-    whole = math.floor(M)  # popular placement caches floor(M) whole files
+    whole = min(math.floor(M), len(p))  # popular placement caches whole files
     T, _ = protocol(cfg)
     theta = cfg["scheme"].get("theta", 0.0)
     opt = optimizer.optimize_pir(p, gamma, M, T, theta=theta)
@@ -206,7 +213,7 @@ def cmd_optimize(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = load_config(args)
-    p = build_popularity(cfg["library"])
+    p = checked_popularity(cfg["library"])
     sw = cfg["sweep"]
     T, _ = protocol(cfg)
     theta = cfg.get("scheme", {}).get("theta", 0.0)

@@ -76,7 +76,10 @@ def optimize_pir(p: Sequence[float], gamma, M, T: int,
                  k_candidates: Optional[Sequence[int]] = None,
                  n_cap: Optional[int] = None, theta: float = 0.0) -> Optimum:
     """Exhaustive (k, n) scan of the uniform-placement objective
-    R + theta*D; theta = 0 optimizes the backhaul rate alone."""
+    R + theta*D, theta in [0, 1]; theta = 0 optimizes the backhaul rate
+    alone."""
+    if not 0 <= theta <= 1:
+        raise ValueError("theta must lie in [0, 1]")
     g = rates._gamma_list(gamma)
     F = len(p)
     M = _check_budget(M)
@@ -92,13 +95,16 @@ def optimize_pir(p: Sequence[float], gamma, M, T: int,
         for n in range(k + T, cap + 1):
             candidates.append((n, k))
     sums = _GammaSums(g)
+    cached = {k: min(M.numerator * k // M.denominator, F) for _, k in candidates}
+    mbs = {n: sums.mbs(n) for n, _ in candidates}
+    sbs = {n: sums.sbs(n) for n, _ in candidates}
     for n, k in sorted(candidates):
-        files_cached = min(int(floor(M * k)), F)
+        files_cached = cached[k]
         if files_cached == 0:
             continue
         factor = 1.0 / (n - T + 1 - k)
-        obj = factor * (P[files_cached] * sums.mbs(n)
-                        + theta * sums.sbs(n)) + (P[F] - P[files_cached])
+        obj = factor * (P[files_cached] * mbs[n]
+                        + theta * sbs[n]) + (P[F] - P[files_cached])
         table.append({"k": k, "n": n, "files_cached": files_cached, "value": obj})
         if best is None or obj < best["value"] - SLACK:
             best = table[-1]
@@ -112,8 +118,6 @@ def optimize_pir(p: Sequence[float], gamma, M, T: int,
 def optimize_weighted(p: Sequence[float], gamma, M, T: int, theta: float,
                       **kwargs) -> Optimum:
     """Minimize the weighted rate C = R + theta*D over uniform placements."""
-    if not 0 <= theta <= 1:
-        raise ValueError("theta must lie in [0, 1]")
     return optimize_pir(p, gamma, M, T, theta=theta, **kwargs)
 
 
@@ -150,6 +154,16 @@ def optimize_nopir(p: Sequence[float], gamma, M,
     candidate set {1, ..., 2*N_max} suffices because gamma_b = 0 above
     N_max makes every k >= N_max equally effective per unit of budget, so
     spreading thinner than that is dominated.
+
+    With c_max the largest cost of a usable choice, the DP values after
+    file i are flat above (i+1)*c_max (every choice fits there), and the
+    backtrack reads file i's choices only at budget cells at or above
+    budget - (F-1-i)*c_max.  So file i is computed only on that window,
+    with the flat tail read from the window's top cell, and its choices
+    are stored for that window alone, as uint8 rows when there are fewer
+    than 256 candidates.  Each window cell sees the same float operations
+    and the same `cand > best + SLACK` rule, in the same item order, as a
+    DP over the whole budget, so the result is bit-identical to it.
     """
     g = rates._gamma_list(gamma)
     F = len(p)
@@ -169,31 +183,47 @@ def optimize_nopir(p: Sequence[float], gamma, M,
     miss = {k: sum(gb * max(0, k - b) for b, gb in enumerate(g)) / k
             for k in k_candidates}
     savings = [1.0 - miss[k] for k in k_candidates]
-    dp = np.zeros(budget + 1)
-    choice = np.zeros((F, budget + 1), dtype=np.int16)
+    items = [(ci, cost, save) for ci, (cost, save) in enumerate(zip(costs, savings), start=1)
+             if cost <= budget and save > 0]
+    c_max = max((cost for _, cost, _ in items), default=0)
+    dtype = np.min_scalar_type(len(k_candidates))
+    prev, cur = np.zeros(budget + 1), np.zeros(budget + 1)
+    cand, limit = np.empty(budget + 1), np.empty(budget + 1)
+    upd = np.empty(budget + 1, dtype=bool)
+    rows = []  # (lo, hi, choice index per cell of [lo, hi]) per file
+    top = 0    # prev is exact on cells <= top and flat above it
     for i in range(F):
-        best_val = dp.copy()
-        best_choice = np.zeros(budget + 1, dtype=np.int16)
-        for ci, (cost, save) in enumerate(zip(costs, savings), start=1):
-            if cost > budget or save <= 0:
+        hi = min(budget, (i + 1) * c_max)
+        lo = min(max(0, budget - (F - 1 - i) * c_max), hi)
+        prev[top + 1:hi + 1] = prev[top]
+        cur[lo:hi + 1] = prev[lo:hi + 1]
+        row = np.zeros(hi + 1 - lo, dtype=dtype)
+        gain = p[i]
+        for ci, cost, save in items:
+            a = max(lo, cost)
+            if a > hi:
                 continue
-            cand = dp[:-cost] + p[i] * save
-            upd = cand > best_val[cost:] + SLACK
-            best_val[cost:][upd] = cand[upd]
-            best_choice[cost:][upd] = ci
-        dp = best_val
-        choice[i] = best_choice
+            width = hi + 1 - a
+            c, lim, u = cand[:width], limit[:width], upd[:width]
+            np.add(prev[a - cost:hi + 1 - cost], gain * save, out=c)
+            np.add(cur[a:hi + 1], SLACK, out=lim)
+            np.greater(c, lim, out=u)
+            np.copyto(cur[a:hi + 1], c, where=u)
+            np.copyto(row[a - lo:], ci, where=u)
+        rows.append((lo, hi, row))
+        prev, cur, top = cur, prev, hi
     b = budget
     mu = [Fraction(0)] * F
     ks: list[Optional[int]] = [None] * F
     for i in range(F - 1, -1, -1):
-        ci = int(choice[i][b])
+        lo, hi, row = rows[i]
+        ci = int(row[min(b, hi) - lo])
         if ci:
             k = k_candidates[ci - 1]
             mu[i] = Fraction(1, k)
             ks[i] = k
             b -= costs[ci - 1]
-    value = float(sum(p)) - float(dp[budget])
+    value = float(sum(p)) - float(prev[min(budget, top)])
     cached = sum(1 for m in mu if m)
     return Optimum(mu, ks, None, cached, value)
 

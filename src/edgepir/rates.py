@@ -27,7 +27,7 @@ def _check_mu(mu) -> list[Fraction]:
     out = []
     for m in mu:
         f = m if isinstance(m, Fraction) else Fraction(m)
-        if f != 0 and f.numerator != 1:
+        if f.numerator not in (0, 1):
             raise ValueError(f"placement entries must be 0 or 1/k, got {m}")
         out.append(f)
     return out
@@ -66,6 +66,13 @@ def backhaul_nopir_popular(p: Sequence, M: int, gamma) -> object:
     return g0 * sum(p[:M]) + sum(p[M:])
 
 
+def _cached_extremes(mu: list[Fraction]):
+    """(mu_min, mu_max) over the cached entries 1/k, i.e. (1/max k, 1/min k),
+    or None when nothing is cached."""
+    ks = [m.denominator for m in mu if m.numerator]
+    return (Fraction(1, max(ks)), Fraction(1, min(ks))) if ks else None
+
+
 def _pir_factor(mu_min: Fraction, mu_max: Fraction, n: int, T: int):
     den = mu_min * (n - T + 1) - 1
     if den <= 0:
@@ -85,15 +92,19 @@ def backhaul_pir(p: Sequence, mu: Sequence, gamma, n: int, T: int) -> object:
     are fetched whole."""
     g = _gamma_list(gamma)
     mu = _check_placement(p, mu)
-    cached = [m for m in mu if m != 0]
-    if not cached:
+    extremes = _cached_extremes(mu)
+    if extremes is None:
         return sum(p)
-    factor = _pir_factor(min(cached), max(cached), n, T)
+    factor = _pir_factor(*extremes, n, T)
+    # float * Fraction is float * float(Fraction): convert once, same bits
+    float_factor = float(factor)
     mbs_coords = expected_mbs_coords(g, n)
     total = 0
     for pi, mi in zip(p, mu):
-        if mi == 0:
+        if not mi.numerator:
             total += pi
+        elif type(pi) is float:
+            total += pi * float_factor * mbs_coords
         else:
             total += pi * factor * mbs_coords
     return total
@@ -105,10 +116,10 @@ def sbs_rate_pir(p: Sequence, mu: Sequence, gamma, n: int, T: int) -> object:
     rate does not depend on the popularity profile."""
     g = _gamma_list(gamma)
     mu = _check_placement(p, mu)
-    cached = [m for m in mu if m != 0]
-    if not cached:
+    extremes = _cached_extremes(mu)
+    if extremes is None:
         return 0
-    factor = _pir_factor(min(cached), max(cached), n, T)
+    factor = _pir_factor(*extremes, n, T)
     return factor * sum(gb * min(b, n) for b, gb in enumerate(g))
 
 

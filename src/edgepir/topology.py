@@ -66,33 +66,44 @@ class GridModel:
             raise ValueError("grid D and r must be non-negative")
 
     @cached_property
-    def _lattice(self) -> tuple[int, int, np.ndarray]:
-        """(m, w, index): the lattice point (ix*s, iy*s), |ix|, |iy| <= m,
-        is entry [iy + m + w, ix + m + w] of ``index``, which holds its
-        position in sbs_positions(), or -1 where no SBS stands.  The table
-        is padded by w, the stencil half-width, so every stencil lookup of a
-        user in the disc stays inside it.
+    def _lattice(self) -> tuple[int, int, np.ndarray, np.ndarray, list]:
+        """(m, w, index, exists, stencil): the lattice point (ix*s, iy*s),
+        |ix|, |iy| <= m, is entry [iy + m + w, ix + m + w] of ``index``,
+        which holds its position in sbs_positions(), or -1 where no SBS
+        stands; ``exists`` is the boolean mask index >= 0.  The tables are
+        padded by w, the stencil half-width, so every stencil lookup of a
+        user in the disc stays inside them.
 
-        An SBS in range lies within sqrt(r^2 + 1e-9)/s of ux/s along each
-        axis, and the user's nearest index within 1/2 of ux/s, so
-        w = ceil(r/s) + 1 reaches every SBS in range.  ceil(1e-4/s) is that
-        +1 for s >= 1e-4 m and grows below it, where the test's 1e-9 m^2
-        slack (sqrt(1e-9) ~ 3.2e-5 m) can exceed half a lattice step."""
+        A user lies within 1/2 step of its nearest lattice point along each
+        axis, so the point at offset (dx, dy) from it is at least
+        s*(|dx| - 1/2)^+ and s*(|dy| - 1/2)^+ away along the axes.
+        ``stencil`` lists, dy-major, the offsets (dx, dy) where that bound
+        is within the range test's sqrt(r^2 + 1e-9); the others can never
+        hold an SBS in range.  The bound uses half-width H = 1/2 + 1e-6
+        steps: the excess covers the rounding of rint(ux/s) and of the
+        float distance test, both below 1e-10 steps for any lattice that
+        fits in memory, so no offset the test could accept is dropped.
+        With r = s that leaves 9 offsets of the 25 in |dx|, |dy| <= 2;
+        about 1 + 4r/s + pi*(r/s)^2 in general."""
         s = self.spacing
         reach = self.D + self.r
         m = int(math.ceil(reach / s))
-        w = math.ceil(self.r / s) + math.ceil(1e-4 / s)
+        H, r2 = 0.5 + 1e-6, (self.r ** 2 + 1e-9) / s ** 2
+        w = math.floor(H + math.sqrt(r2))
+        stencil = [(dx, dy) for dy in range(-w, w + 1) for dx in range(-w, w + 1)
+                   if max(abs(dx) - H, 0) ** 2 + max(abs(dy) - H, 0) ** 2 <= r2]
         xs = np.arange(-m, m + 1) * s
         gx, gy = np.meshgrid(xs, xs)
         keep = np.hypot(gx, gy) <= reach + 1e-9
         index = np.where(keep, np.cumsum(keep).reshape(keep.shape) - 1, -1)
-        return m, w, np.pad(index, w, constant_values=-1)
+        index = np.pad(index, w, constant_values=-1)
+        return m, w, index, index >= 0, stencil
 
     def sbs_positions(self) -> np.ndarray:
         """Square-lattice points covering the disc plus a margin of r, so
         users near the cell edge still see the SBSs just outside it."""
-        m, w, index = self._lattice
-        iy, ix = np.nonzero(index >= 0)
+        m, w, _, exists, _ = self._lattice
+        iy, ix = np.nonzero(exists)
         return np.stack([(ix - m - w) * self.spacing, (iy - m - w) * self.spacing], axis=1)
 
     def sbs_count_in_cell(self) -> int:
@@ -123,25 +134,23 @@ def spacing_for_count(D: float, target: int) -> float:
 
 
 def _in_range(model: GridModel, ux, uy):
-    """Yield, per stencil offset, the ``model._lattice`` index entries of
-    the lattice point at that offset from each user's nearest lattice
-    point, and which of them are SBSs in range of the user.  ux and uy are
-    arrays of users or one user's floats.  Every in-range SBS turns up at
-    exactly one offset, and the cost is O(len(ux) * (2w + 1)^2) whatever
-    the SBS count."""
-    m, w, index = model._lattice
+    """Yield, per ``model._lattice`` stencil offset, the flat position in
+    its index table of the lattice point at that offset from each user's
+    nearest lattice point, and which of them are SBSs in range of the user.
+    ux and uy are arrays of users or one user's floats.  Every in-range SBS
+    turns up at exactly one offset, and the cost is O(len(ux) * len(stencil))
+    whatever the SBS count."""
+    m, w, index, exists, stencil = model._lattice
     s, r2 = model.spacing, model.r ** 2 + 1e-9
     cx = np.rint(ux / s).astype(np.int64)
     cy = np.rint(uy / s).astype(np.int64)
-    width, flat = index.shape[1], index.ravel()
+    width, exists = index.shape[1], exists.ravel()
     base = (cy + m + w) * width + cx + m + w
-    offsets = range(-w, w + 1)
-    dx2 = [(ux - (cx + dx) * s) ** 2 for dx in offsets]
-    for dy in offsets:
-        dy2 = (uy - (cy + dy) * s) ** 2
-        for dx, x2 in zip(offsets, dx2):
-            at = flat.take(base + (dy * width + dx))
-            yield at, (x2 + dy2 <= r2) & (at >= 0)
+    dx2 = {dx: (ux - (cx + dx) * s) ** 2 for dx in range(-w, w + 1)}
+    dy2 = {dy: (uy - (cy + dy) * s) ** 2 for dy in range(-w, w + 1)}
+    for dx, dy in stencil:
+        at = base + (dy * width + dx)
+        yield at, (dx2[dx] + dy2[dy] <= r2) & exists.take(at)
 
 
 def grid_gamma(model: GridModel, mc_samples: int = 1000000,
@@ -151,7 +160,7 @@ def grid_gamma(model: GridModel, mc_samples: int = 1000000,
     if mc_samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
-    hist: dict[int, int] = {}
+    hist = np.zeros(0, dtype=np.int64)  # hist[b]: users with b SBSs in range
     chunk = 200000
     done = 0
     while done < mc_samples:
@@ -162,12 +171,11 @@ def grid_gamma(model: GridModel, mc_samples: int = 1000000,
         b = np.zeros(size, dtype=np.int64)
         for _, hit in _in_range(model, ux, uy):
             b += hit
-        for val, cnt in zip(*np.unique(b, return_counts=True)):
-            hist[int(val)] = hist.get(int(val), 0) + int(cnt)
+        counts = np.bincount(b, minlength=len(hist))
+        counts[:len(hist)] += hist
+        hist = counts
         done += size
-    max_b = max(hist)
-    gamma = [hist.get(b, 0) / mc_samples for b in range(max_b + 1)]
-    return CoverageDistribution(gamma)
+    return CoverageDistribution([int(c) / mc_samples for c in hist])
 
 
 @dataclass
@@ -215,7 +223,8 @@ def sample_coverage(model, rng) -> tuple[tuple[float, float], list[int]]:
         rad = model.D * math.sqrt(rng.random())
         ang = 2 * math.pi * rng.random()
         ux, uy = rad * math.cos(ang), rad * math.sin(ang)
-        return (ux, uy), sorted(int(at) for at, hit in _in_range(model, ux, uy) if hit)
+        index = model._lattice[2].ravel()
+        return (ux, uy), sorted(int(index[at]) for at, hit in _in_range(model, ux, uy) if hit)
     if isinstance(model, PppModel):
         # user at the origin; window of half-width r_u guarantees every SBS
         # that could be in range is realized

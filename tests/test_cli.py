@@ -349,3 +349,48 @@ def test_rates_placement_fault_exits_3(tmp_path, capsys, library, scheme, messag
     assert run(["rates", "--config", str(path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("constraint violation: ") and message in err
+
+
+GRID = {"gamma": [0, 0, 0.1736, 0.5113, 0.3151]}
+SWEEP_M = {"axis": "M", "start": 10, "stop": 30, "step": 10}
+
+
+@pytest.mark.parametrize("command,theta", [
+    ("optimize", 3.0), ("optimize", -0.5), ("sweep", -1), ("sweep", 1.5)])
+def test_theta_outside_unit_interval_exits_3(tmp_path, capsys, command, theta):
+    cfg = {"library": {"F": 50, "alpha": 0.7}, "topology": GRID,
+           "scheme": {"M": 20, "theta": theta}, "protocol": {"T": 1}, "sweep": SWEEP_M}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run([command, "--config", str(path)]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "constraint violation: theta must lie in [0, 1]\n"
+
+
+@pytest.mark.parametrize("command", ["optimize", "sweep"])
+@pytest.mark.parametrize("library,message", [
+    ({"F": 5, "popularity": [0.5, 0.5]}, "popularity has 2 entries for 5 files"),
+    ({"F": 3, "popularity": [0.9, 0.9, -0.8]}, "entries must be non-negative"),
+    ({"F": 2, "popularity": [0.1, 0.9]}, "must be non-increasing"),
+    ({"F": 2, "popularity": [0.6, 0.6]}, "must sum to 1"),
+], ids=["length", "negative", "increasing", "sum"])
+def test_optimize_and_sweep_popularity_fault_exits_3(tmp_path, capsys, command,
+                                                      library, message):
+    cfg = {"library": library, "topology": GRID, "scheme": {"M": 1},
+           "protocol": {"T": 1}, "sweep": {"axis": "M", "values": [1, 2]}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run([command, "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("constraint violation: ") and message in err
+
+
+def test_optimize_cache_above_library_caches_every_file_whole(tmp_path):
+    cfg = {"library": {"F": 20, "alpha": 0.7}, "topology": GRID,
+           "scheme": {"M": 50}, "protocol": {"T": 1}}
+    path, out = tmp_path / "cfg.json", tmp_path / "opt.csv"
+    path.write_text(json.dumps(cfg))
+    assert run(["optimize", "--config", str(path), "--out", str(out)]) == 0
+    rows = {r["objective"]: r for r in read_csv(str(out))}
+    assert rows["PIR popular"]["files_cached"] == rows["noPIR popular"]["files_cached"] == "20"
+    assert all(float(r["value"]) == 0.0 for r in rows.values())  # >= 2 SBSs always in range

@@ -1,8 +1,11 @@
 """Placement optimizers: PIR grid scan, popular placement, no-privacy DP."""
 
 import itertools
+import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from edgepir import optimizer, rates, topology
@@ -115,6 +118,18 @@ def test_optimize_weighted_bounds_theta():
         optimizer.optimize_weighted([1.0], [0, 1.0], 1, 1, theta=1.5)
 
 
+@pytest.mark.parametrize("theta", [-1.0, 1.5, 3.0, float("nan")])
+def test_optimize_pir_and_sweeps_reject_theta_outside_unit_interval(theta):
+    """The sweeps and the CLI call optimize_pir directly, so it is the one
+    place theta is checked."""
+    p = zipf_p(20, 0.7)
+    for call in (lambda: optimizer.optimize_pir(p, GRID_GAMMA, 5, 1, theta=theta),
+                 lambda: optimizer.sweep_cache_size(p, GRID_GAMMA, [5], 1, theta=theta),
+                 lambda: optimizer.sweep_density(p, 5, 1, [1e-4], 60.0, theta=theta)):
+        with pytest.raises(ValueError, match="theta must lie in"):
+            call()
+
+
 def test_weighted_theta_half_helps_from_m87():
     p = zipf_p()
     for M, expect_caching in [(86, False), (87, True), (150, True)]:
@@ -181,6 +196,93 @@ def test_nopir_dp_matches_brute_force_small():
         opt = optimizer.optimize_nopir(p, g, M, k_candidates=k_set)
         brute_val, _ = brute_force_nopir(p, g, M, k_set)
         assert opt.value == pytest.approx(brute_val, abs=1e-9)
+
+
+def reference_optimize_nopir(p, gamma, M, k_candidates=None):
+    """The no-privacy DP over the whole discretized budget, one int16
+    choice row of budget + 1 cells per file: the implementation that the
+    windowed DP replaced, kept as its reference."""
+    g = rates._gamma_list(gamma)
+    F = len(p)
+    M = Fraction(M)
+    N_max = max((b for b, x in enumerate(g) if x > 0), default=0)
+    if k_candidates is None:
+        k_candidates = list(range(1, max(2, 2 * N_max) + 1))
+    k_candidates = sorted(set(k_candidates))
+    unit = math.lcm(*k_candidates)
+    budget = int(math.floor(M * unit))
+    costs = [unit // k for k in k_candidates]
+    miss = {k: sum(gb * max(0, k - b) for b, gb in enumerate(g)) / k
+            for k in k_candidates}
+    savings = [1.0 - miss[k] for k in k_candidates]
+    dp = np.zeros(budget + 1)
+    choice = np.zeros((F, budget + 1), dtype=np.int16)
+    for i in range(F):
+        best_val = dp.copy()
+        best_choice = np.zeros(budget + 1, dtype=np.int16)
+        for ci, (cost, save) in enumerate(zip(costs, savings), start=1):
+            if cost > budget or save <= 0:
+                continue
+            cand = dp[:-cost] + p[i] * save
+            upd = cand > best_val[cost:] + optimizer.SLACK
+            best_val[cost:][upd] = cand[upd]
+            best_choice[cost:][upd] = ci
+        dp = best_val
+        choice[i] = best_choice
+    b = budget
+    mu = [Fraction(0)] * F
+    ks = [None] * F
+    for i in range(F - 1, -1, -1):
+        ci = int(choice[i][b])
+        if ci:
+            k = k_candidates[ci - 1]
+            mu[i] = Fraction(1, k)
+            ks[i] = k
+            b -= costs[ci - 1]
+    value = float(sum(p)) - float(dp[budget])
+    return optimizer.Optimum(mu, ks, None, sum(1 for m in mu if m), value)
+
+
+def random_nopir_instance(rnd):
+    """Popularity (sometimes all equal, sometimes with repeated values),
+    gamma (sometimes with zero and point masses), a budget from 0 to above
+    the library, and the default or a custom candidate set."""
+    F = rnd.randint(1, 12)
+    if rnd.random() < 0.3:
+        p = [1.0 / F] * F
+    else:
+        w = [rnd.choice([rnd.random(), 0.5, 0.25]) for _ in range(F)]
+        p = sorted((x / sum(w) for x in w), reverse=True)
+    gw = [rnd.choice([rnd.random(), 0.0, 1.0]) for _ in range(rnd.randint(1, 6))]
+    gw[-1] = gw[-1] or 1.0
+    g = [x / sum(gw) for x in gw]
+    M = Fraction(rnd.randint(0, 3 * F + 2), rnd.choice([1, 2, 3, 7]))
+    k_set = None if rnd.random() < 0.4 else rnd.sample(range(1, 9), rnd.randint(1, 5))
+    return p, g, M, k_set
+
+
+def divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_nopir_windowed_dp_equals_full_budget_reference(seed):
+    rnd = random.Random(seed)
+    cases = [random_nopir_instance(rnd) for _ in range(150)]
+    cases += [
+        (zipf_p(), GRID_GAMMA, 100, None),                 # the analytics workload
+        (zipf_p(30, 0.0), GRID_GAMMA, Fraction(7, 3), None),  # equal popularities
+        (zipf_p(10), GRID_GAMMA, 0, None),                 # M = 0
+        (zipf_p(10), GRID_GAMMA, 25, [2, 3, 5]),           # M above the library
+        (zipf_p(10), [0.6, 0.4], 3, [1, 2]),               # no saving at all
+        # 256 candidates: the last one, k = 1081080 at cost 1, is the only fit
+        ([1.0], [0, 0, 1.0], Fraction(1, 1081080), divisors(1081080)),
+    ]
+    for p, g, M, k_set in cases:
+        got = optimizer.optimize_nopir(p, g, M, k_candidates=k_set)
+        want = reference_optimize_nopir(p, g, M, k_candidates=k_set)
+        assert (got.mu_star, got.k_star, got.files_cached, got.value) == \
+            (want.mu_star, want.k_star, want.files_cached, want.value), (p, g, M, k_set)
 
 
 def test_nopir_zero_rate_when_budget_ample():

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -159,6 +160,38 @@ def test_expected_mbs_coords_exact():
     mu = [Fraction(1, 2)]
     assert rates.backhaul_pir([1], mu, g, 3, 1) == \
         rates._pir_factor(mu[0], mu[0], 3, 1) * rates.expected_mbs_coords(g, 3)
+
+
+def parent_closed_forms(p, mu, g, n, T):
+    """backhaul_pir and sbs_rate_pir as Fraction comparisons and
+    float * Fraction products computed them before the integer tests."""
+    cached = [m for m in mu if m != 0]
+    factor = rates._pir_factor(min(cached), max(cached), n, T)
+    mbs_coords = rates.expected_mbs_coords(g, n)
+    total = 0
+    for pi, mi in zip(p, mu):
+        total += pi if mi == 0 else pi * factor * mbs_coords
+    return total, factor * sum(gb * min(b, n) for b, gb in enumerate(g))
+
+
+def test_pir_closed_forms_match_parent_expression_bit_for_bit():
+    rnd = random.Random(5)
+    for _ in range(200):
+        F, T = rnd.randint(1, 30), rnd.randint(1, 2)
+        ks = [rnd.choice([0, 1, 2, 3, 5]) for _ in range(F)]
+        ks[rnd.randrange(F)] = rnd.choice([1, 2, 3, 5])
+        mu = [Fraction(1, k) if k else Fraction(0) for k in ks]
+        w = [rnd.random() for _ in range(F)]
+        g = [rnd.random() for _ in range(rnd.randint(1, 8))]
+        n = max(ks) + T + rnd.randint(0, 4)
+        for p in ([x / sum(w) for x in w], [np.float64(x / sum(w)) for x in w]):
+            got = (rates.backhaul_pir(p, mu, g, n, T), rates.sbs_rate_pir(p, mu, g, n, T))
+            assert repr(got) == repr(parent_closed_forms(p, mu, g, n, T))
+        p = [Fraction(rnd.randint(1, 9), 7) for _ in range(F)]
+        g = [Fraction(rnd.randint(0, 9), 11) for _ in g]
+        got = (rates.backhaul_pir(p, mu, g, n, T), rates.sbs_rate_pir(p, mu, g, n, T))
+        assert all(type(x) is Fraction for x in got)
+        assert got == parent_closed_forms(p, mu, g, n, T)
 
 
 @pytest.mark.parametrize("rate", [

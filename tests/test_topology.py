@@ -125,6 +125,8 @@ def brute_grid_gamma(D, s, r, mc_samples, seed):
     (300.0, 7.0, 61.3),      # r/s not an integer
     (50.0, 3000.0, 1000.0),  # the geometry-oracle model
     (1e-4, 1e-5, 0.0),       # the 1e-9 m^2 slack spans several lattice steps
+    (200.0, 40.0, 59.6),     # r = 1.49 s: offset (2, 0) just pruned
+    (200.0, 40.0, 60.0),     # r = 1.5 s: offset (2, 0) kept at its boundary
 ])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_grid_gamma_equals_full_lattice_reference(D, s, r, seed):
@@ -229,6 +231,20 @@ def test_sample_coverage_indices_are_in_range():
         for i in range(len(pts)):
             d = math.hypot(pts[i, 0] - ux, pts[i, 1] - uy)
             assert (i in inrange) == (d <= m.r + 1e-9)
+
+
+@pytest.mark.parametrize("D,s,r", [(150.0, 70.0, 90.0), (200.0, 40.0, 59.6),
+                                   (300.0, 7.0, 61.3)])
+def test_sample_coverage_equals_full_lattice_reference(D, s, r):
+    """The pruned stencil returns exactly the SBSs that pass the distance
+    test against every lattice point, in sbs_positions() order."""
+    m = topology.GridModel(D, s, r)
+    pts = m.sbs_positions()
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        (ux, uy), inrange = topology.sample_coverage(m, rng)
+        hit = (ux - pts[:, 0]) ** 2 + (uy - pts[:, 1]) ** 2 <= r ** 2 + 1e-9
+        assert inrange == np.flatnonzero(hit).tolist()
 
 
 def test_sample_coverage_rejects_unknown_model():
