@@ -22,8 +22,11 @@ from __future__ import annotations
 import json
 import struct
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import Optional, Sequence
+
+import numpy as np
 
 from . import codes, gf, rates, spec
 from .spec import SnapshotError
@@ -47,21 +50,24 @@ def check_popularity(popularity: Sequence[float], F: int) -> list[float]:
 
 
 class FileLibrary:
-    """F files, each beta stripes of L bits, with a popularity vector."""
+    """F files, each beta stripes of L bits, with a popularity vector.
+
+    ``files`` holds the bits as lists of Python ints, and ``bits`` the same
+    bits as a uint8 array of shape (F, beta, L) for the encoder."""
 
     def __init__(self, files: Sequence[Sequence[Sequence[int]]], L: int,
                  popularity: Sequence[float]):
         self.F = len(files)
         if self.F == 0:
             raise ValueError("library must contain at least one file")
-        self.beta = len(files[0])
-        self.L = L
-        self.files = [[list(stripe) for stripe in f] for f in files]
-        for f in self.files:
-            if len(f) != self.beta or any(len(s) != L for s in f):
-                raise ValueError("every file must be beta stripes of L bits")
-            if any(b not in (0, 1) for s in f for b in s):
-                raise ValueError("file contents must be bits")
+        self.beta, self.L = len(files[0]), L
+        if any(len(f) != self.beta or any(len(s) != L for s in f) for f in files):
+            raise ValueError("every file must be beta stripes of L bits")
+        bits = np.asarray(files).reshape(self.F, self.beta, L)
+        if not ((bits == 0) | (bits == 1)).all():
+            raise ValueError("file contents must be bits")
+        self.bits = bits.astype(np.uint8)
+        self.files = self.bits.tolist()
         self.popularity = check_popularity(popularity, self.F)
 
     @classmethod
@@ -114,11 +120,17 @@ class CachingScheme:
     def storage_code(self, file_index: int) -> codes.LinearCode:
         """(N_sbs, k_i) MDS storage code over GF(q), shared evaluation
         points across files so the codes are nested (smaller-k codes sit
-        inside larger-k ones)."""
+        inside larger-k ones).  Files of one k share one code object, which
+        callers must not modify."""
         k = self.k[file_index]
         if k == 0:
             raise ValueError("file is not cached")
-        return codes.mds_code(gf.make_field(self.q), self.N_sbs, k)
+        return _storage_code(self.q, self.N_sbs, k)
+
+
+@lru_cache(maxsize=None)
+def _storage_code(q: int, N_sbs: int, k: int) -> codes.LinearCode:
+    return codes.mds_code(gf.make_field(q), N_sbs, k)
 
 
 def packing_params(scheme: CachingScheme, L: int) -> tuple[int, dict, int]:
@@ -147,30 +159,27 @@ def packing_params(scheme: CachingScheme, L: int) -> tuple[int, dict, int]:
 def pack_stripe(bits: Sequence[int], k: int) -> list[int]:
     """Split a (padded) stripe into k packets and read each big-endian as
     the int of a symbol."""
-    delta_bits = len(bits) // k
-    if delta_bits * k != len(bits):
+    if len(bits) % k:
         raise ValueError("stripe length not divisible by k")
-    out = []
-    for j in range(k):
-        val = 0
-        for b in bits[j * delta_bits:(j + 1) * delta_bits]:
-            val = (val << 1) | b
-        out.append(val)
-    return out
+    return gf.bits_to_ints(np.asarray(bits, np.uint8).reshape(k, -1))
 
 
 def unpack_stripe(symbols: Sequence[int], symbol_bits: int, L: int) -> list[int]:
     """Inverse of pack_stripe for symbols of symbol_bits bits, truncating
     padding down to L bits."""
-    bits: list[int] = []
-    for s in symbols:
-        bits.extend((s >> (symbol_bits - 1 - t)) & 1 for t in range(symbol_bits))
-    return bits[:L]
+    return gf.ints_to_bits(symbols, symbol_bits).reshape(-1)[:L].tolist()
 
 
 class EncodedCache:
     """Coded symbols c^(i)_{a,j} for every cached file i, stripe a, SBS j,
-    plus the plaintext library retained at the MBS."""
+    plus the plaintext library retained at the MBS.
+
+    ``messages[i][a]`` is stripe a's k_i packet symbols and
+    ``symbols[i][a]`` its codeword, one symbol per SBS.  Packing is array
+    arithmetic on ``library.bits``: a packet's bits, read in m-bit groups,
+    are its GF(q) digits.  Files of one rate share one storage code
+    (``codes[i]``), and all their stripes are encoded in one GF(q) product.
+    """
 
     def __init__(self, library: FileLibrary, scheme: CachingScheme):
         if scheme.N_sbs < 1:
@@ -183,23 +192,24 @@ class EncodedCache:
         # GF(q)^{delta_max}, where all protocol arithmetic runs
         self.symbol_field = (gf.SymbolSpace(scheme.q, self.delta_max)
                              if self.delta_max else None)
-        self.codes = {i: scheme.storage_code(i) for i in scheme.cached_files()}
-        self.messages: dict[int, list[list[int]]] = {}
-        self.symbols: dict[int, list[list[int]]] = {}
-        pad = self.pad_bits
-        for i in scheme.cached_files():
-            k, space = scheme.k[i], gf.SymbolSpace(scheme.q, self.deltas[i])
-            stripes = [pack_stripe(list(bits) + [0] * pad, k)
-                       for bits in library.files[i]]
-            # every stripe's codeword in one GF(q) product:
-            # (N_sbs x k) times (k x beta*delta_i) digits
-            digits = space.digits([x for msg in stripes for x in msg])
-            digits = digits.reshape(library.beta, k, -1).transpose(1, 0, 2)
-            Gt = [list(c) for c in zip(*self.codes[i].G)]
-            words = gf.matmul(scheme.q, Gt, digits.reshape(k, -1))
-            words = words.reshape(scheme.N_sbs, library.beta, -1).transpose(1, 0, 2)
-            self.messages[i] = stripes
-            self.symbols[i] = [space.ints(w) for w in words]
+        cached = scheme.cached_files()
+        self.codes = {i: scheme.storage_code(i) for i in cached}
+        m, beta, N = gf.factor_prime_power(scheme.q)[1], library.beta, scheme.N_sbs
+        bits = np.pad(library.bits, [(0, 0), (0, 0), (0, self.pad_bits)])
+        self.messages: dict[int, list[list[int]]] = dict.fromkeys(cached)
+        self.symbols: dict[int, list[list[int]]] = dict.fromkeys(cached)
+        for k in dict.fromkeys(scheme.k[i] for i in cached):
+            files = [i for i in cached if scheme.k[i] == k]
+            delta = self.deltas[files[0]]
+            packets = bits[files].reshape(len(files), beta, k, delta * m)
+            # every stripe codeword of these files in one GF(q) product:
+            # (N_sbs x k) times (k x files*beta*delta) digits
+            digits = gf.bit_digits(packets, m).transpose(2, 0, 1, 3).reshape(k, -1)
+            words = gf.matmul(scheme.q, np.transpose(self.codes[files[0]].G), digits)
+            words = words.reshape(N, len(files), beta, delta).transpose(1, 2, 0, 3)
+            for i, msg, word in zip(files, gf.bits_to_ints(packets),
+                                    gf.digit_ints(words, scheme.q)):
+                self.messages[i], self.symbols[i] = msg, word
 
     def cache_column(self, sbs_j: int) -> list[int]:
         """Symbols stored at SBS j for all cached files, file-major then
@@ -235,13 +245,22 @@ class EncodedCache:
 # ---------------------------------------------------------------------------
 # snapshot container: MAGIC | u32 header length | JSON header | body
 # body = library bits (file-major, stripe-major, bit-packed big-endian,
-# byte-aligned per stripe) then cached symbols (file-major, stripe-major,
-# coordinate-minor, fixed width per file)
+# byte-aligned per stripe: np.packbits of library.bits) then cached symbols
+# (file-major, stripe-major, coordinate-minor, fixed width per file)
 # ---------------------------------------------------------------------------
 
 def _symbol_bytes(q: int, delta: int) -> int:
     """Fixed byte width of a GF(q)^delta symbol in a snapshot."""
     return ((q ** delta - 1).bit_length() + 7) // 8
+
+
+def _symbol_body(cache: EncodedCache) -> bytes:
+    """The cached symbols in snapshot order, each at its file's fixed width."""
+    out = []
+    for i in cache.scheme.cached_files():
+        width = _symbol_bytes(cache.scheme.q, cache.deltas[i])
+        out += [s.to_bytes(width, "big") for row in cache.symbols[i] for s in row]
+    return b"".join(out)
 
 
 def save_snapshot(path: str, cache: EncodedCache) -> None:
@@ -260,25 +279,12 @@ def save_snapshot(path: str, cache: EncodedCache) -> None:
         "allow_full_spread": scheme.N_sbs in [m.denominator for m in scheme.mu if m],
     }
     hdr = json.dumps(header, sort_keys=True).encode()
-    body = bytearray()
-    stripe_bytes = (lib.L + 7) // 8
-    for f in lib.files:
-        for stripe in f:
-            val = 0
-            for b in stripe:
-                val = (val << 1) | b
-            val <<= (stripe_bytes * 8 - lib.L)
-            body += val.to_bytes(stripe_bytes, "big")
-    for i in scheme.cached_files():
-        width = _symbol_bytes(scheme.q, cache.deltas[i])
-        for a in range(lib.beta):
-            for s in cache.symbols[i][a]:
-                body += s.to_bytes(width, "big")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack(">I", len(hdr)))
         fh.write(hdr)
-        fh.write(body)
+        fh.write(np.packbits(lib.bits, axis=-1).tobytes())
+        fh.write(_symbol_body(cache))
 
 
 def load_snapshot(path: str) -> EncodedCache:
@@ -304,24 +310,15 @@ def load_snapshot(path: str) -> EncodedCache:
         raise SnapshotError(f"snapshot header lacks {', '.join(missing)}")
     body = data[end:]
     F, beta, L = header["F"], header["beta"], header["L"]
-    stripe_bytes = (L + 7) // 8
-    if min(F, beta, L) < 1 or F * beta * stripe_bytes > len(body):
+    off = F * beta * ((L + 7) // 8)  # library bytes
+    if min(F, beta, L) < 1 or off > len(body):
         raise SnapshotError(f"snapshot body cannot hold F={F}, beta={beta}, L={L}")
-    files = []
-    off = 0
-    for _ in range(F):
-        stripes = []
-        for _ in range(beta):
-            val = int.from_bytes(body[off:off + stripe_bytes], "big")
-            off += stripe_bytes
-            val >>= stripe_bytes * 8 - L
-            stripes.append([(val >> (L - 1 - t)) & 1 for t in range(L)])
-        files.append(stripes)
+    bits = np.unpackbits(np.frombuffer(body, np.uint8, off).reshape(F, beta, -1), axis=-1)
     try:
         scheme = CachingScheme(header["N_sbs"], Fraction(header["M"]),
                                [Fraction(m) for m in header["mu"]], q=header["q"],
                                allow_full_spread=header["allow_full_spread"])
-        cache = EncodedCache(FileLibrary(files, L, header["popularity"]), scheme)
+        cache = EncodedCache(FileLibrary(bits[..., :L], L, header["popularity"]), scheme)
     except ValueError as e:
         raise SnapshotError(f"snapshot header does not describe a cache: {e}")
     if (cache.delta_max, cache.pad_bits) != (header["delta_max"], header["pad_bits"]):
@@ -332,12 +329,6 @@ def load_snapshot(path: str) -> EncodedCache:
         problem = "truncated" if len(body) < expected else "too long"
         raise SnapshotError(f"snapshot body {problem}: {len(body)} of {expected} bytes")
     # verify stored symbols match re-encoding (corruption check)
-    for i in scheme.cached_files():
-        width = widths[i]
-        for a in range(beta):
-            for s in cache.symbols[i][a]:
-                stored = int.from_bytes(body[off:off + width], "big")
-                off += width
-                if stored != s:
-                    raise SnapshotError("snapshot symbols inconsistent with library")
+    if body[off:] != _symbol_body(cache):
+        raise SnapshotError("snapshot symbols inconsistent with library")
     return cache

@@ -173,6 +173,8 @@ def cmd_rates(args) -> int:
     gamma = build_gamma(cfg["topology"], args.seed)
     p = build_popularity(cfg["library"])
     mu = build_scheme(cfg, cfg["library"]["F"]).mu
+    rates._check_placement(p, mu)  # first: its message names both lengths
+    p = cache_mod.check_popularity(p, cfg["library"]["F"])
     T, n = protocol(cfg)
     theta = cfg["scheme"].get("theta", 0.0)
     row = {"R_noPIR": float(rates.backhaul_nopir(p, mu, gamma))}

@@ -218,16 +218,16 @@ def solve_message(code: LinearCode, word: Sequence[Optional[int]]) -> list[int]:
     """
     q = code.field.order
     known = [j for j, w in enumerate(word) if w is not None]
-    delta = gf.digit_count((word[c] for c in known), q)
+    values = [word[c] for c in known]
+    digits = gf.digit_array(values, q, gf.digit_count(values, q)).tolist()
     # (G|_known)^T m = word|_known, augmented with one column per digit
-    aug = [[row[c] for row in code.G] + gf.to_digits(word[c], q, delta)
-           for c in known]
+    aug = [[row[c] for row in code.G] + d for c, d in zip(known, digits)]
     R, pivots = gf.rref(code.field, aug)
     if pivots and pivots[-1] >= code.k:
         raise ValueError("received symbols are not consistent with the code")
     if len(pivots) < code.k:
         raise ValueError("erasure pattern not decodable: no information set survives")
-    return [gf.from_digits(R[i][code.k:], q) for i in range(code.k)]
+    return gf.digit_ints([R[i][code.k:] for i in range(code.k)], q)
 
 
 def erasure_decode(code: LinearCode, word: Sequence[Optional[int]]) -> list[int]:

@@ -13,7 +13,11 @@ into the int whose base-q digits, least significant first, are those
 digits.  File i occupies the low delta_i digits of GF(q)^{delta_max}: the
 inclusion zero-pads (:func:`embed`, which leaves the int unchanged) and
 :func:`project` is its checked inverse.  :func:`matmul` multiplies a GF(q)
-matrix into digit arrays with log/antilog tables (q = 2^m).
+matrix into digit arrays with log/antilog tables (q = 2^m).  For q = 2^m a
+symbol's big-endian bits are its digits' m-bit groups, so whole arrays of
+symbols convert to digits through bytes (:func:`digit_array`,
+:func:`digit_ints`).  GF(2^m) builds its product table by vectorised
+carry-less multiplication.
 
 Dense linear algebra (rank / solve / invert / null space) is provided as
 module functions operating on lists of rows of ints.
@@ -22,6 +26,7 @@ module functions operating on lists of rows of ints.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import prod
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -256,6 +261,20 @@ def default_modulus(F, degree: int) -> tuple[int, ...]:
     raise RuntimeError("no irreducible polynomial found")  # unreachable
 
 
+def _gf2_mul_table(modulus: Sequence[int]) -> list[list[int]]:
+    """Every product in GF(2)[x]/f: carry-less products of the element ints
+    (bit j is the coefficient of x^j), reduced by f from the top bit down."""
+    m = len(modulus) - 1
+    f = sum(c << j for j, c in enumerate(modulus))
+    x = np.arange(1 << m, dtype=np.int64)
+    prod = np.zeros((1 << m, 1 << m), np.int64)
+    for j in range(m):
+        prod ^= ((x[None, :] >> j) & 1) * (x[:, None] << j)
+    for t in range(2 * m - 2, m - 1, -1):
+        prod ^= ((prod >> t) & 1) * (f << (t - m))
+    return prod.tolist()
+
+
 class ExtField:
     """GF(|base|^degree) as polynomials over ``base`` modulo an irreducible."""
 
@@ -276,13 +295,15 @@ class ExtField:
         if not poly_is_irreducible(base, modulus):
             raise ValueError("modulus is reducible")
         self.modulus = modulus
-        if self.order <= self._TABLE_LIMIT:
+        if self.order > self._TABLE_LIMIT:
+            self._mul_tab = None
+        elif base.order == 2:
+            self._mul_tab = _gf2_mul_table(modulus)
+        else:
             self._mul_tab = [
                 [self._mul_poly(a, b) for b in range(self.order)]
                 for a in range(self.order)
             ]
-        else:
-            self._mul_tab = None
 
     # -- encoding ----------------------------------------------------------
     def to_coeffs(self, a: int) -> list[int]:
@@ -436,11 +457,61 @@ def matmul(q: int, A, D: np.ndarray) -> np.ndarray:
     return np.bitwise_xor.reduce(terms, axis=1)
 
 
+def ints_to_bits(values: Sequence[int], nbits: int) -> np.ndarray:
+    """len(values) x nbits array of each value's low nbits bits, most
+    significant first, through one bytes object."""
+    width = (nbits + 7) // 8
+    data = np.frombuffer(b"".join(x.to_bytes(width, "big") for x in values), np.uint8)
+    return np.unpackbits(data).reshape(len(values), 8 * width)[:, 8 * width - nbits:]
+
+
+def bits_to_ints(bits: np.ndarray) -> list:
+    """The ints whose big-endian bits lie along the last axis of a 0/1
+    array, nested as lists over the other axes."""
+    rows, nbits = prod(bits.shape[:-1]), bits.shape[-1]
+    data = np.packbits(bits.reshape(rows, nbits), axis=1).tobytes()
+    width, shift = (nbits + 7) // 8, -nbits % 8
+    flat = [int.from_bytes(data[j * width:(j + 1) * width], "big") >> shift
+            for j in range(rows)]
+    return np.array(flat, object).reshape(bits.shape[:-1]).tolist()
+
+
+def bit_digits(bits: np.ndarray, m: int) -> np.ndarray:
+    """The base-2^m digits, least significant first, of the big-endian bit
+    strings along the last axis: m-bit groups times their bit weights."""
+    groups = bits.reshape(*bits.shape[:-1], bits.shape[-1] // m, m)
+    weights = 1 << np.arange(m - 1, -1, -1)
+    return (groups @ weights)[..., ::-1].astype(np.min_scalar_type((1 << m) - 1))
+
+
+def digit_array(values: Sequence[int], q: int, delta: int) -> np.ndarray:
+    """len(values) x delta array of the values' base-q digits, least
+    significant first, in O(total bits) for q = 2^m (values must fit)."""
+    p, m = factor_prime_power(q)
+    if p != 2:
+        return np.array([to_digits(x, q, delta) for x in values]).reshape(len(values), delta)
+    return bit_digits(ints_to_bits(values, delta * m), m)
+
+
+def digit_ints(digits, q: int) -> list:
+    """Inverse of :func:`digit_array` along the last axis of a digit array
+    (or nested lists), nested as lists over the other axes (rows of a 2-D
+    array only, for odd q)."""
+    digits, (p, m) = np.asarray(digits), factor_prime_power(q)
+    if p != 2:
+        return [from_digits(row, q) for row in digits.tolist()]
+    bits = (digits[..., ::-1, None] >> np.arange(m - 1, -1, -1, dtype=digits.dtype)) & 1
+    return bits_to_ints(bits.reshape(*digits.shape[:-1], digits.shape[-1] * m))
+
+
 class SymbolSpace:
     """GF(q)^delta for q = 2^m, where every stored, served and recovered
     symbol lives.  A symbol is the int whose base-q digits, least
-    significant first, are its coordinates; a GF(q) scalar times a symbol
-    scales every digit, and addition is digit-wise (XOR of the ints)."""
+    significant first, are its coordinates, so its big-endian bits are its
+    digits' m-bit groups, most significant digit first; a GF(q) scalar
+    times a symbol scales every digit, and addition is digit-wise (XOR of
+    the ints).  :meth:`digits` and :meth:`ints` convert whole arrays
+    through bytes, in time linear in their bits."""
 
     def __init__(self, q: int, delta: int):
         if factor_prime_power(q)[0] != 2:
@@ -457,14 +528,14 @@ class SymbolSpace:
     def digits(self, values: Sequence[int]) -> np.ndarray:
         """len(values) x delta digit array; ValueError for a value that is
         not a symbol."""
-        if any(not 0 <= x < self.order for x in values):
+        if len(values) and not (0 <= min(values) and max(values) < self.order):
             raise ValueError(f"symbol outside GF({self.q})^{self.delta}")
-        rows = [to_digits(x, self.q, self.delta) for x in values]
-        return np.array(rows, np.min_scalar_type(self.q - 1)).reshape(len(rows), self.delta)
+        return digit_array(values, self.q, self.delta)
 
-    def ints(self, digits: np.ndarray) -> list[int]:
-        """The symbols of the rows of a digit array."""
-        return [from_digits(row, self.q) for row in digits.tolist()]
+    def ints(self, digits: np.ndarray) -> list:
+        """The symbols along the last axis of a digit array, nested as lists
+        over its other axes (a flat list for the rows of a 2-D array)."""
+        return digit_ints(digits, self.q)
 
 
 # ---------------------------------------------------------------------------

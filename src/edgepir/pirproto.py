@@ -93,10 +93,14 @@ def plan_protocol(cache: EncodedCache, T: int, n: int,
     Cbar = codes.mds_code(field, n, T, kappa=kappa)  # blinding code
     if codes.dual_min_distance(Cbar) < T + 1:
         raise ValueError("blinding code cannot tolerate T colluders")
-    Cprime = {i: codes.puncture(cache.codes[i], coords) for i in cached}
+    # one punctured code per distinct storage code; sum_code and hadamard
+    # return RREF bases of their spans, so repeated summands change nothing
+    distinct = dict.fromkeys(cache.codes[i] for i in cached)
+    punctured = {C: codes.puncture(C, coords) for C in distinct}
+    Cprime = {i: punctured[cache.codes[i]] for i in cached}
     Csum = None
-    for i in cached:
-        Csum = Cprime[i] if Csum is None else codes.sum_code(Csum, Cprime[i])
+    for C in punctured.values():
+        Csum = C if Csum is None else codes.sum_code(Csum, C)
     Ctilde = codes.hadamard(Csum, Cbar)
     if Ctilde.k != k_max + T - 1:
         raise ValueError(

@@ -27,6 +27,42 @@ def test_library_validation():
         cache.FileLibrary([[[1, 2]], [[1, 1]]], 2, [0.5, 0.5])  # non-bit
 
 
+BAD_LIBRARIES = {
+    "ragged stripes": ([[[1, 0], [1]], [[0, 1], [1, 1]]],
+                       "every file must be beta stripes of L bits"),
+    "wrong stripe count": ([[[1, 0]], [[1, 0], [0, 1]]],
+                           "every file must be beta stripes of L bits"),
+    "stripes longer than L": ([[[1, 0, 1]], [[1, 0, 1]]],
+                              "every file must be beta stripes of L bits"),
+    "value 2": ([[[1, 2]], [[1, 1]]], "file contents must be bits"),
+    "value -1": ([[[1, -1]], [[1, 1]]], "file contents must be bits"),
+    "value 0.5": ([[[1, 0.5]], [[1, 1]]], "file contents must be bits"),
+    "string digit": ([[["1", "0"]], [["0", "1"]]], "file contents must be bits"),
+    "no files": ([], "library must contain at least one file"),
+}
+
+
+@pytest.mark.parametrize("files,message", BAD_LIBRARIES.values(), ids=BAD_LIBRARIES)
+def test_library_rejects(files, message):
+    with pytest.raises(ValueError, match=message):
+        cache.FileLibrary(files, 2, [0.5, 0.5])
+
+
+@pytest.mark.parametrize("files", [
+    [[[True, False]], [[False, True]]],
+    [[[1, 0.0]], [[0, 1.0]]],
+    np.array([[[1, 0]], [[0, 1]]], np.uint8),
+    np.array([[[1, 0]], [[0, 1]]]),
+], ids=["bools", "floats 0.0 and 1.0", "uint8 array", "int64 array"])
+def test_library_accepts_bit_values(files):
+    """Any 0/1 values are bits; ``files`` holds them as lists of Python ints
+    and ``bits`` as a uint8 array."""
+    lib = cache.FileLibrary(files, 2, [0.5, 0.5])
+    assert lib.files == [[[1, 0]], [[0, 1]]]
+    assert all(type(b) is int for f in lib.files for s in f for b in s)
+    assert lib.bits.dtype == np.uint8 and lib.bits.tolist() == lib.files
+
+
 def test_scheme_constraints():
     with pytest.raises(ValueError):
         cache.CachingScheme(4, 1, [Fraction(1), Fraction(1)])  # over budget
@@ -184,3 +220,37 @@ def test_mbs_column_serves_stored_symbols(monkeypatch):
 
     monkeypatch.setattr(gf, "mat_vec", no_encoding)
     assert enc.mbs_column(5) == [0b10011, 1]
+
+
+def test_files_of_one_rate_share_one_storage_code(tmp_path):
+    """One code object per (q, N_sbs, k): every file of one k, every cache
+    and a reloaded snapshot share it."""
+    mu = [Fraction(1), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)]
+    lib = cache.FileLibrary.random(4, 2, 12, [0.25] * 4, np.random.default_rng(3))
+    enc = cache.EncodedCache(lib, cache.CachingScheme(6, 3, mu, q=8))
+    assert enc.codes[1] is enc.codes[2] is enc.codes[3]
+    assert enc.codes[0] is not enc.codes[1] and enc.codes[0].k == 1
+    path = tmp_path / "cache.epir"
+    cache.save_snapshot(str(path), enc)
+    loaded = cache.load_snapshot(str(path))
+    assert all(loaded.codes[i] is enc.codes[i] for i in range(4))
+
+
+def test_encoding_matches_stripe_by_stripe_reference():
+    """The array encoder against packing and encoding one stripe at a time
+    with pack_stripe, scalar digits and LinearCode.encode, multi-rate with
+    padding."""
+    mu = [Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(0), Fraction(1, 4)]
+    lib = cache.FileLibrary.random(5, 3, 21, [0.2] * 5, np.random.default_rng(8))
+    enc = cache.EncodedCache(lib, cache.CachingScheme(7, 2, mu, q=8))
+    q = 8
+    for i in enc.scheme.cached_files():
+        k, delta = enc.scheme.k[i], enc.deltas[i]
+        for a, stripe in enumerate(lib.files[i]):
+            msg = cache.pack_stripe(stripe + [0] * enc.pad_bits, k)
+            assert enc.messages[i][a] == msg
+            per_digit = [enc.codes[i].encode([gf.to_digits(x, q, delta)[e] for x in msg])
+                         for e in range(delta)]
+            word = [gf.from_digits([per_digit[e][j] for e in range(delta)], q)
+                    for j in range(7)]
+            assert enc.symbols[i][a] == word

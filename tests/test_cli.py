@@ -351,6 +351,19 @@ def test_rates_placement_fault_exits_3(tmp_path, capsys, library, scheme, messag
     assert err.startswith("constraint violation: ") and message in err
 
 
+def test_rates_checks_popularity_exits_3(tmp_path, capsys):
+    """A popularity that does not sum to 1 is a constraint violation, not a
+    rate printed from it."""
+    cfg = {"library": {"F": 2, "popularity": [0.9, 0.9]},
+           "topology": {"gamma": [0, 0, 0.2, 0.5, 0.3]},
+           "scheme": {"N_sbs": 6, "M": 1, "mu": ["1/2", "1/2"]}, "protocol": {"n": 4}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run(["rates", "--config", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == "constraint violation: popularity must sum to 1\n"
+
+
 GRID = {"gamma": [0, 0, 0.1736, 0.5113, 0.3151]}
 SWEEP_M = {"axis": "M", "start": 10, "stop": 30, "step": 10}
 

@@ -1,6 +1,7 @@
 """Finite-field arithmetic and linear algebra."""
 
 import random
+import time
 
 import numpy as np
 import pytest
@@ -74,6 +75,32 @@ def test_field_axioms_exhaustive(F):
                 assert F.add(F.add(a, b), c) == F.add(a, F.add(b, c))
                 assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c))
                 assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
+
+
+@pytest.mark.parametrize("q", [4, 8, 16, 32, 64])
+def test_gf2m_table_matches_polynomial_mul_exhaustive(q):
+    """The carry-less product table against polynomial multiplication and
+    reduction, for every pair of elements."""
+    F = gf.make_field(q)
+    assert F._mul_tab == [[F._mul_poly(a, b) for b in range(q)] for a in range(q)]
+
+
+def test_gf256_table_matches_polynomial_mul_sampled():
+    F = gf.make_field(256)
+    rnd = random.Random(256)
+    pairs = [(rnd.randrange(256), rnd.randrange(256)) for _ in range(4096)]
+    assert all(F.mul(a, b) == F._mul_poly(a, b) for a, b in pairs)
+    assert all(type(x) is int for row in F._mul_tab for x in row)
+
+
+def test_gf256_builds_fast():
+    """The 256 x 256 product table is built vectorised, not one polynomial
+    product per entry (best of three, well under 50 ms)."""
+    def build():
+        t = time.perf_counter()
+        gf.ExtField(gf.PrimeField(2), 8)
+        return time.perf_counter() - t
+    assert min(build() for _ in range(3)) < 0.05
 
 
 def test_inv_zero_raises():
@@ -190,6 +217,40 @@ def test_symbol_space_rejects_out_of_range_ints():
             space.digits([bad])
     with pytest.raises(ValueError):
         gf.SymbolSpace(9, 2)
+
+
+@pytest.mark.parametrize("q,delta", [(2, 1), (2, 13), (4, 3), (8, 5), (16, 11),
+                                     (32, 7), (256, 3), (512, 4), (2, 200)])
+def test_digit_array_matches_scalar_digits(q, delta):
+    """Bytes-and-bit-group conversion against one divmod per digit, at
+    digit widths that do and do not divide a byte."""
+    rnd = random.Random(q * delta)
+    values = [0, 1, q ** delta - 1] + [rnd.randrange(q ** delta) for _ in range(40)]
+    digits = gf.digit_array(values, q, delta)
+    assert digits.shape == (len(values), delta)
+    assert digits.tolist() == [gf.to_digits(x, q, delta) for x in values]
+    assert gf.digit_ints(digits, q) == values
+    space = gf.SymbolSpace(q, delta)
+    assert np.array_equal(space.digits(values), digits)
+    assert space.ints(digits.reshape(1, -1, delta)) == [values]  # nested
+
+
+def test_digit_conversion_odd_q_and_empty():
+    assert gf.digit_array([0, 26, 7], 3, 3).tolist() == [[0, 0, 0], [2, 2, 2], [1, 2, 0]]
+    assert gf.digit_ints(np.array([[2, 2, 2], [1, 2, 0]]), 3) == [26, 7]
+    assert gf.digit_array([], 8, 2).shape == (0, 2)
+    assert gf.SymbolSpace(8, 2).ints(np.zeros((0, 2), np.uint8)) == []
+
+
+@pytest.mark.parametrize("nbits", [1, 5, 8, 9, 44, 64, 130])
+def test_bits_ints_roundtrip(nbits):
+    rnd = random.Random(nbits)
+    values = [rnd.randrange(1 << nbits) for _ in range(25)]
+    bits = gf.ints_to_bits(values, nbits)
+    assert bits.tolist() == [[(x >> (nbits - 1 - t)) & 1 for t in range(nbits)]
+                             for x in values]
+    assert gf.bits_to_ints(bits) == values
+    assert all(type(x) is int for x in gf.bits_to_ints(bits))
 
 
 # -- linear algebra ---------------------------------------------------------

@@ -56,6 +56,20 @@ def test_plan_example_parameters():
     assert codes.dual_min_distance(params.Cbar) - 1 >= 1
 
 
+def test_plan_punctures_each_distinct_code_once():
+    """Files of one rate share one punctured code, and the retrieval code
+    equals the one summed file by file: same generator, same parity check."""
+    enc, params, _ = grs_instance(F=5, beta=2, L=8, q=16, N=10,
+                                  ks=(2, 4, 2, 4), T=2, n=7)
+    assert params.Cprime[0] is params.Cprime[2] and params.Cprime[1] is params.Cprime[3]
+    Csum = None
+    for i in params.cached:
+        C = codes.puncture(enc.codes[i], params.coords)
+        Csum = C if Csum is None else codes.sum_code(Csum, C)
+    reference = codes.hadamard(Csum, params.Cbar)
+    assert (params.Ctilde.G, params.Ctilde.H) == (reference.G, reference.H)
+
+
 def test_plan_trivial_repetition():
     rng = np.random.default_rng(0)
     lib = cache.FileLibrary.random(1, 1, 3, [1.0], rng)
