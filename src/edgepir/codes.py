@@ -124,10 +124,6 @@ def mds_code(field: Field, n: int, k: int,
                      f"GF({field.order}); use a larger field")
 
 
-def from_generator(field: Field, G: list, mds: Optional[bool] = None) -> LinearCode:
-    return LinearCode(field, G, mds=mds)
-
-
 def repetition_code(field: Field, n: int) -> LinearCode:
     return LinearCode(field, [[1] * n], mds=True)
 
@@ -244,14 +240,16 @@ def erasure_decode(code: LinearCode, word: Sequence[Optional[int]]) -> list[int]
 def dual_min_distance(code: LinearCode) -> int:
     """Minimum Hamming distance of the dual code.
 
-    GRS duals are GRS, so d = k + 1 analytically; otherwise the dual's
-    codewords are scanned exhaustively (desk scale only).
+    The dual of an (n, k) MDS code is an (n, n - k) MDS code, so d = k + 1
+    whenever the code is known to be MDS (always for GRS, repetition and
+    single parity-check codes); otherwise the dual's codewords are scanned
+    exhaustively (desk scale only).
     """
-    if isinstance(code, GrsCode):
-        return code.k + 1
     dual_dim = code.n - code.k
     if dual_dim == 0:
         raise ValueError("dual code is trivial (k = n)")
+    if code.mds:
+        return code.k + 1
     if code.field.order ** dual_dim > 1 << 20:
         raise ValueError("instance too large for exhaustive dual-distance scan")
     dual = LinearCode(code.field, _row_basis(code.field, code.H))

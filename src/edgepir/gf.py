@@ -1,10 +1,14 @@
-"""Exact arithmetic over prime-power fields GF(q), symbols as GF(q) digit
-vectors, and dense linear algebra.
+"""Exact arithmetic over GF(q), symbols as GF(q) digit vectors, and dense
+linear algebra.
 
-Field elements are plain Python ints in ``range(field.order)``.  For a
-prime field GF(p) the int is the residue itself.  For GF(p^m) = GF(p)[x]/f
-the int is read as m base-p digits, least significant digit first: digit j
-is the coefficient of x^j.  So 0 and 1 are the identities of every field.
+Field elements are plain Python ints in ``range(field.order)``, and 0 and 1
+are the identities of every field.  Two kinds of field exist: a prime field
+GF(p) (:class:`PrimeField`, the int is the residue), and GF(2^m) for
+m = 2..16 (:class:`ExtField`), one table-driven field over GF(2)[x]/f whose
+int has the coefficient of x^j as bit j.  Its defining polynomial f is
+pinned per m (:data:`MODULI`), its sums are XOR and its products, inverses
+and powers are table lookups.  Extension fields of odd characteristic are
+refused: the data path packs bits into GF(2^m) digits.
 
 The retrieval scheme is GF(q)-linear: queries, parity checks and storage
 generators all live in GF(q).  A symbol of a file cached at rate 1/k_i is
@@ -13,14 +17,14 @@ into the int whose base-q digits, least significant first, are those
 digits.  File i occupies the low delta_i digits of GF(q)^{delta_max}: the
 inclusion zero-pads (:func:`embed`, which leaves the int unchanged) and
 :func:`project` is its checked inverse.  :func:`matmul` multiplies a GF(q)
-matrix into digit arrays with log/antilog tables (q = 2^m).  For q = 2^m a
-symbol's big-endian bits are its digits' m-bit groups, so whole arrays of
-symbols convert to digits through bytes (:func:`digit_array`,
-:func:`digit_ints`).  GF(2^m) builds its product table by vectorised
-carry-less multiplication.
+matrix into digit arrays with the field's log/antilog tables (q = 2^m).
+For q = 2^m a symbol's big-endian bits are its digits' m-bit groups, so
+whole arrays of symbols convert to digits through bytes
+(:func:`digit_array`, :func:`digit_ints`).
 
 Dense linear algebra (rank / solve / invert / null space) is provided as
-module functions operating on lists of rows of ints.
+module functions operating on lists of rows of ints; each field supplies
+the one row operation its elimination needs (``sub_scaled``).
 """
 
 from __future__ import annotations
@@ -103,6 +107,11 @@ class PrimeField:
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.order
 
+    def sub_scaled(self, x: Sequence[int], c: int, y: Sequence[int]) -> list[int]:
+        """The row x - c y."""
+        p = self.order
+        return [(v - c * w) % p for v, w in zip(x, y)]
+
     def inv(self, a: int) -> int:
         if a % self.order == 0:
             raise ZeroDivisionError("inverse of 0")
@@ -129,239 +138,130 @@ class PrimeField:
         return hash(("PrimeField", self.order))
 
 
-# ---------------------------------------------------------------------------
-# polynomial helpers over an arbitrary base field (coefficient lists, c[j] is
-# the coefficient of x^j, normalized to drop trailing zeros)
-# ---------------------------------------------------------------------------
-
-def _poly_trim(c: list) -> list:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
+# Defining polynomials of GF(2^m), m = 2..16, as ints (bit j is the
+# coefficient of x^j): the lexicographically smallest irreducible polynomial
+# of each degree, so field elements, transcripts and snapshots are the same
+# in every run.
+MODULI = {2: 0x7, 3: 0xb, 4: 0x13, 5: 0x25, 6: 0x43, 7: 0x83, 8: 0x11b,
+          9: 0x203, 10: 0x409, 11: 0x805, 12: 0x1009, 13: 0x201b,
+          14: 0x4021, 15: 0x8003, 16: 0x1002b}
 
 
-def _poly_add(F, a: Sequence[int], b: Sequence[int]) -> list:
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else 0
-        y = b[i] if i < len(b) else 0
-        out.append(F.add(x, y))
-    return _poly_trim(out)
-
-
-def _poly_mul(F, a: Sequence[int], b: Sequence[int]) -> list:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[i + j] = F.add(out[i + j], F.mul(x, y))
-    return _poly_trim(out)
-
-
-def _poly_divmod(F, a: Sequence[int], b: Sequence[int]) -> tuple[list, list]:
-    a = list(a)
-    _poly_trim(a)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    binv = F.inv(b[-1])
-    q = [0] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b):
-        coef = F.mul(a[-1], binv)
-        deg = len(a) - len(b)
-        q[deg] = coef
-        for i, y in enumerate(b):
-            a[deg + i] = F.sub(a[deg + i], F.mul(coef, y))
-        _poly_trim(a)
-    return _poly_trim(q), a
-
-
-def _poly_mod(F, a, b):
-    return _poly_divmod(F, a, b)[1]
-
-
-def _poly_powmod(F, a: Sequence[int], e: int, mod: Sequence[int]) -> list:
-    """a(x)^e mod mod(x) by square-and-multiply."""
-    result = [1]
-    base = _poly_mod(F, list(a), mod)
-    while e:
-        if e & 1:
-            result = _poly_mod(F, _poly_mul(F, result, base), mod)
-        e >>= 1
-        if e:
-            base = _poly_mod(F, _poly_mul(F, base, base), mod)
-    return result
-
-
-def _poly_gcd(F, a: Sequence[int], b: Sequence[int]) -> list:
-    a, b = _poly_trim(list(a)), _poly_trim(list(b))
-    while b:
-        a, b = b, _poly_mod(F, a, b)
-    return a
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
+def _times(a: int, g: int, f: int, top: int) -> int:
+    """a * g in GF(2)[x]/f by shift and XOR; top = 2^deg(f)."""
+    out = 0
+    while g:
+        if g & 1:
+            out ^= a
+        g >>= 1
+        a <<= 1
+        if a & top:
+            a ^= f
     return out
 
 
-def poly_is_irreducible(F, coeffs: Sequence[int]) -> bool:
-    """Rabin's criterion: monic f of degree d is irreducible over GF(q) iff
-    x^(q^d) = x (mod f) and gcd(x^(q^(d/p)) - x, f) = 1 for every prime
-    p dividing d."""
-    c = _poly_trim(list(coeffs))
-    d = len(c) - 1
-    if d < 1:
-        return False
-    if d == 1:
-        return True
-    q = F.order
-    x = [0, 1]
-    for p in _prime_factors(d):
-        h = _poly_powmod(F, x, q ** (d // p), c)
-        diff = _poly_add(F, h, [F.neg(v) for v in x])
-        if len(_poly_gcd(F, diff, c)) != 1:
-            return False
-    h = _poly_powmod(F, x, q ** d, c)
-    return not _poly_trim(_poly_add(F, h, [F.neg(v) for v in x]))
+def _generator_powers(f: int, m: int) -> list[int]:
+    """g^0, ..., g^(q-2) for the first g (in int order) of multiplicative
+    order q - 1 = 2^m - 1 in GF(2)[x]/f.
+
+    Every non-zero element of a field has order dividing q - 1, and a
+    generator's powers are q - 1 distinct units, so such a g exists iff f
+    is irreducible; the search stops at the first element that shows f is
+    not (a power that never returns to 1, or an order not dividing q - 1).
+    """
+    q = 1 << m
+    for g in range(2, q):
+        powers, a = [1], g
+        while a != 1 and len(powers) < q:
+            powers.append(a)
+            a = _times(a, g, f, q)
+        if a != 1 or (q - 1) % len(powers):
+            break
+        if len(powers) == q - 1:
+            return powers
+    raise ValueError("modulus is reducible")
 
 
-def _monic_polys(F, deg: int) -> Iterable[list]:
-    q = F.order
-    for idx in range(q ** deg):
-        c = []
-        t = idx
-        for _ in range(deg):
-            c.append(t % q)
-            t //= q
-        c.append(1)
-        yield c
+def _log_exp_lists(powers: list[int], q: int) -> tuple[list, list]:
+    """Log and antilog tables from a generator's powers.
 
-
-def default_modulus(F, degree: int) -> tuple[int, ...]:
-    """Lexicographically smallest (in the digit encoding) monic irreducible
-    polynomial of the given degree over F.  Deterministic, so field specs and
-    transcripts are reproducible across runs."""
-    for cand in _monic_polys(F, degree):
-        if poly_is_irreducible(F, cand):
-            return tuple(cand)
-    raise RuntimeError("no irreducible polynomial found")  # unreachable
-
-
-def _gf2_mul_table(modulus: Sequence[int]) -> list[list[int]]:
-    """Every product in GF(2)[x]/f: carry-less products of the element ints
-    (bit j is the coefficient of x^j), reduced by f from the top bit down."""
-    m = len(modulus) - 1
-    f = sum(c << j for j, c in enumerate(modulus))
-    x = np.arange(1 << m, dtype=np.int64)
-    prod = np.zeros((1 << m, 1 << m), np.int64)
-    for j in range(m):
-        prod ^= ((x[None, :] >> j) & 1) * (x[:, None] << j)
-    for t in range(2 * m - 2, m - 1, -1):
-        prod ^= ((prod >> t) & 1) * (f << (t - m))
-    return prod.tolist()
+    log[0] is 2q, so a sum of two logs involving 0 lands in the zero tail
+    of exp, and exp repeats its q - 1 powers so non-zero sums need no mod.
+    """
+    log = [2 * q] * q
+    for i, a in enumerate(powers):
+        log[a] = i
+    return log, powers * 2 + [0] * (2 * q + 3)
 
 
 class ExtField:
-    """GF(|base|^degree) as polynomials over ``base`` modulo an irreducible."""
+    """GF(2^m) = GF(2)[x]/f, table-driven.
 
-    _TABLE_LIMIT = 1 << 9  # build full mul tables only for small fields
+    An element's int has the coefficient of x^j as bit j, so addition,
+    subtraction and negation are XOR (negation is the identity), and
+    products, inverses and powers are log/antilog lookups (a product table
+    for q <= 512).  ``modulus`` is f's coefficient tuple, constant term
+    first; by default the pinned ``MODULI[m]``.
+    """
+
+    _TABLE_LIMIT = 1 << 9  # full product tables only for small fields
 
     def __init__(self, base, degree: int, modulus: Optional[Sequence[int]] = None):
-        if degree < 1:
-            raise ValueError("degree must be >= 1")
-        self.base = base
-        self.degree = degree
-        self.char = base.char
-        self.order = base.order ** degree
+        if base != PrimeField(2):
+            raise ValueError("extension fields are built over GF(2) only")
         if modulus is None:
-            modulus = default_modulus(base, degree)
+            if degree not in MODULI:
+                raise ValueError(f"GF(2^{degree}): pinned moduli cover degrees "
+                                 f"{min(MODULI)}..{max(MODULI)}")
+            modulus = [(MODULI[degree] >> j) & 1 for j in range(degree + 1)]
         modulus = tuple(modulus)
-        if len(modulus) != degree + 1 or modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree == extension degree")
-        if not poly_is_irreducible(base, modulus):
-            raise ValueError("modulus is reducible")
+        if degree < 2 or len(modulus) != degree + 1 or modulus[-1] != 1 \
+                or any(c not in (0, 1) for c in modulus):
+            raise ValueError("modulus must be a monic GF(2) polynomial of "
+                             "degree == extension degree >= 2")
+        self.base, self.degree, self.char = base, degree, 2
+        self.order = q = 1 << degree
         self.modulus = modulus
-        if self.order > self._TABLE_LIMIT:
-            self._mul_tab = None
-        elif base.order == 2:
-            self._mul_tab = _gf2_mul_table(modulus)
-        else:
-            self._mul_tab = [
-                [self._mul_poly(a, b) for b in range(self.order)]
-                for a in range(self.order)
-            ]
+        f = sum(c << j for j, c in enumerate(modulus))
+        self._log, self._exp = _log_exp_lists(_generator_powers(f, degree), q)
+        self._mul_tab = None
+        if q <= self._TABLE_LIMIT:
+            log = np.array(self._log)
+            self._mul_tab = np.array(self._exp)[log[:, None] + log].tolist()
 
-    # -- encoding ----------------------------------------------------------
-    def to_coeffs(self, a: int) -> list[int]:
-        return to_digits(a, self.base.order, self.degree)
-
-    def from_coeffs(self, coeffs: Sequence[int]) -> int:
-        if len(coeffs) > self.degree:
-            raise ValueError("too many coefficients")
-        return from_digits(list(coeffs), self.base.order)
-
-    # -- arithmetic --------------------------------------------------------
     def add(self, a: int, b: int) -> int:
-        ca, cb = self.to_coeffs(a), self.to_coeffs(b)
-        return self.from_coeffs([self.base.add(x, y) for x, y in zip(ca, cb)])
+        return a ^ b
 
     def sub(self, a: int, b: int) -> int:
-        ca, cb = self.to_coeffs(a), self.to_coeffs(b)
-        return self.from_coeffs([self.base.sub(x, y) for x, y in zip(ca, cb)])
+        return a ^ b
 
     def neg(self, a: int) -> int:
-        return self.from_coeffs([self.base.neg(x) for x in self.to_coeffs(a)])
-
-    def _mul_poly(self, a: int, b: int) -> int:
-        prod = _poly_mul(self.base, self.to_coeffs(a), self.to_coeffs(b))
-        rem = _poly_mod(self.base, prod, list(self.modulus))
-        return self.from_coeffs(rem + [0] * (self.degree - len(rem)))
+        return a
 
     def mul(self, a: int, b: int) -> int:
         if self._mul_tab is not None:
             return self._mul_tab[a][b]
-        return self._mul_poly(a, b)
+        return self._exp[self._log[a] + self._log[b]]
+
+    def sub_scaled(self, x: Sequence[int], c: int, y: Sequence[int]) -> list[int]:
+        """The row x - c y, for a non-zero scalar c."""
+        if self._mul_tab is not None:
+            t = self._mul_tab[c]
+            return [v ^ t[w] for v, w in zip(x, y)]
+        log, exp, lc = self._log, self._exp, self._log[c]
+        return [v ^ exp[lc + log[w]] for v, w in zip(x, y)]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        # extended Euclid on (a, modulus) over the base field
-        r0, r1 = list(self.modulus), _poly_trim(self.to_coeffs(a))
-        s0, s1 = [], [1]
-        while r1:
-            q, r = _poly_divmod(self.base, r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_add(self.base, s0, [self.base.neg(c) for c in _poly_mul(self.base, q, s1)])
-        # r0 = gcd (a nonzero constant); normalize
-        c = self.base.inv(r0[0])
-        s0 = [self.base.mul(c, x) for x in s0]
-        s0 = _poly_mod(self.base, s0, list(self.modulus))
-        return self.from_coeffs(s0 + [0] * (self.degree - len(s0)))
+        return self._exp[self.order - 1 - self._log[a]]
 
     def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.inv(self.pow(a, -e))
-        out, b = 1, a
-        while e:
-            if e & 1:
-                out = self.mul(out, b)
-            b = self.mul(b, b)
-            e >>= 1
-        return out
+        if a == 0:
+            if e < 0:
+                raise ZeroDivisionError("inverse of 0")
+            return 0 if e else 1
+        return self._exp[self._log[a] * e % (self.order - 1)]
 
     def elements(self) -> range:
         return range(self.order)
@@ -370,17 +270,13 @@ class ExtField:
         return range(1, self.order)
 
     def __repr__(self) -> str:
-        return f"GF({self.base.order}^{self.degree})"
+        return f"GF(2^{self.degree})"
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ExtField)
-            and other.base == self.base
-            and other.modulus == self.modulus
-        )
+        return isinstance(other, ExtField) and other.modulus == self.modulus
 
     def __hash__(self) -> int:
-        return hash(("ExtField", hash(self.base), self.modulus))
+        return hash(("ExtField", self.modulus))
 
 
 Field = PrimeField | ExtField
@@ -388,13 +284,15 @@ Field = PrimeField | ExtField
 
 @lru_cache(maxsize=None)
 def make_field(q: int) -> Field:
-    """GF(q) for a prime power q = p^m.
-
-    For m > 1 the defining polynomial is the lexicographically smallest
-    irreducible one over GF(p), so repeated calls return the identical field.
-    """
+    """GF(q) for a prime q or for q = 2^m, m <= 16 (pinned modulus), so
+    repeated calls return the identical field.  Extension fields of odd
+    characteristic are refused: the protocol's symbols need q = 2^m."""
     p, m = factor_prime_power(q)
-    return PrimeField(p) if m == 1 else ExtField(PrimeField(p), m)
+    if m == 1:
+        return PrimeField(p)
+    if p != 2:
+        raise ValueError(f"GF({q}): extension fields need q = 2^m")
+    return ExtField(PrimeField(2), m)
 
 
 # ---------------------------------------------------------------------------
@@ -428,24 +326,11 @@ def project(digits: np.ndarray, delta: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _log_exp(q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Log and antilog tables of GF(q) to the first generator found.
-
-    log[0] is 2q, so a sum of two logs involving 0 lands in the zero tail
-    of exp, and exp repeats its q - 1 powers so nonzero sums need no mod.
-    """
+    """The field's log and antilog tables (see :func:`_log_exp_lists`) as
+    arrays, for q = 2^m (GF(2) has the one power 1)."""
     F = make_field(q)
-    for g in F.nonzero():
-        powers, x = [1], g
-        while x != 1:
-            powers.append(x)
-            x = F.mul(x, g)
-        if len(powers) == q - 1:
-            break
-    log = np.full(q, 2 * q, np.intp)
-    log[powers] = np.arange(q - 1)
-    exp = np.zeros(4 * q + 1, np.min_scalar_type(q - 1))
-    exp[:2 * q - 2] = powers * 2
-    return log, exp
+    log, exp = (F._log, F._exp) if q > 2 else _log_exp_lists([1], 2)
+    return np.array(log, np.intp), np.array(exp, np.min_scalar_type(q - 1))
 
 
 def matmul(q: int, A, D: np.ndarray) -> np.ndarray:
@@ -587,8 +472,7 @@ def rref(F: Field, A: Matrix) -> tuple[Matrix, list[int]]:
         R[r] = [F.mul(inv, v) for v in R[r]]
         for i in range(rows):
             if i != r and R[i][c] != 0:
-                f = R[i][c]
-                R[i] = [F.sub(v, F.mul(f, w)) for v, w in zip(R[i], R[r])]
+                R[i] = F.sub_scaled(R[i], R[i][c], R[r])
         pivots.append(c)
         r += 1
         if r == rows:

@@ -65,7 +65,7 @@ def test_grs_nesting():
             assert big.contains(row)
 
 
-def test_from_generator_repetition_and_spc():
+def test_repetition_and_spc_codes():
     rep = codes.repetition_code(GF2, 6)
     assert rep.G == [[1] * 6]
     assert rep.mds
@@ -76,13 +76,13 @@ def test_from_generator_repetition_and_spc():
     assert len(spc.H) == 1 and all(x == 1 for x in spc.H[0])
 
 
-def test_from_generator_rejects_rank_deficient():
+def test_linear_code_rejects_rank_deficient():
     with pytest.raises(ValueError):
-        codes.from_generator(GF2, [[1, 1], [1, 1]])
+        codes.LinearCode(GF2, [[1, 1], [1, 1]])
 
 
 def test_identity_generator_no_redundancy():
-    c = codes.from_generator(GF2, [[1, 0], [0, 1]])
+    c = codes.LinearCode(GF2, [[1, 0], [0, 1]])
     assert c.H == []
     assert not codes.correctable(c, [1, 0])
 
@@ -149,7 +149,7 @@ def test_sum_code_idempotent_and_rank():
         Gb = [[rnd.randrange(7) for _ in range(5)] for _ in range(2)]
         if gf.rank(GF7, Ga) < 2 or gf.rank(GF7, Gb) < 2:
             continue
-        a, b = codes.from_generator(GF7, Ga), codes.from_generator(GF7, Gb)
+        a, b = codes.LinearCode(GF7, Ga), codes.LinearCode(GF7, Gb)
         assert codes.sum_code(a, b).k == gf.rank(GF7, Ga + Gb)
 
 
@@ -247,18 +247,39 @@ def test_dual_min_distance():
         G = [[rnd.randrange(2) for _ in range(6)] for _ in range(3)]
         if gf.rank(GF2, G) < 3:
             continue
-        c = codes.from_generator(GF2, G)
-        dual = codes.from_generator(GF2, c.H)
+        c = codes.LinearCode(GF2, G)
+        dual = codes.LinearCode(GF2, c.H)
         brute = min(sum(1 for x in cw if x)
                     for cw in dual.codewords() if any(cw))
         assert codes.dual_min_distance(c) == brute
         found += 1
 
 
+def test_dual_min_distance_of_mds_codes_is_k_plus_1():
+    """k + 1 for every MDS code mds_code builds over GF(2), GF(4) and
+    GF(8) with n <= 5 (GRS, repetition and single parity-check), against
+    an exhaustive weight scan of the dual."""
+    checked = 0
+    for q in (2, 4, 8):
+        F = gf.make_field(q)
+        for n in range(2, 6):
+            for k in range(1, n):
+                try:
+                    c = codes.mds_code(F, n, k)
+                except ValueError:
+                    continue
+                dual = codes.LinearCode(F, c.H)
+                brute = min(sum(1 for x in cw if x)
+                            for cw in dual.codewords() if any(cw))
+                assert codes.dual_min_distance(c) == brute == k + 1
+                checked += 1
+    assert checked == 24
+
+
 def test_mds_flag_exhaustive_small():
     assert codes.grs(GF8, 6, 3).mds
     assert codes.spc_code(GF2, 6).mds
-    not_mds = codes.from_generator(GF2, [[1, 0, 0, 0], [0, 1, 0, 0]])
+    not_mds = codes.LinearCode(GF2, [[1, 0, 0, 0], [0, 1, 0, 0]])
     assert not_mds.mds is False
 
 
@@ -287,7 +308,7 @@ def test_mds_check_runs_only_when_read(monkeypatch):
     calls = []
     monkeypatch.setattr(codes.LinearCode, "_check_mds",
                         lambda self: calls.append(self) or True)
-    c = codes.from_generator(GF2, [[1, 0, 1], [0, 1, 1]])
+    c = codes.LinearCode(GF2, [[1, 0, 1], [0, 1, 1]])
     s = codes.sum_code(c, c)
     codes.hadamard(s, codes.repetition_code(GF2, 3))
     assert calls == []

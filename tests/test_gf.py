@@ -13,10 +13,144 @@ from edgepir import gf
 
 SMALL_FIELDS = [
     gf.make_field(2), gf.make_field(3), gf.make_field(5),
-    gf.make_field(4), gf.make_field(8), gf.make_field(9),
+    gf.make_field(4), gf.make_field(8),
     gf.make_field(32), gf.ExtField(gf.PrimeField(2), 2),
-    gf.ExtField(gf.make_field(4), 2),
 ]
+
+
+# -- reference: polynomial arithmetic over GF(2) ----------------------------
+# The implementation that the table-driven GF(2^m) replaced, kept as its
+# reference: coefficient lists (c[j] is the coefficient of x^j), long
+# division, extended Euclid, Rabin's irreducibility test and the
+# lexicographic search for the default modulus.
+
+GF2 = gf.PrimeField(2)
+
+
+def _trim(c):
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def ref_poly_add(a, b):
+    n = max(len(a), len(b))
+    return _trim([GF2.add(a[i] if i < len(a) else 0, b[i] if i < len(b) else 0)
+                  for i in range(n)])
+
+
+def ref_poly_mul(a, b):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if x and y:
+                out[i + j] = GF2.add(out[i + j], GF2.mul(x, y))
+    return _trim(out)
+
+
+def ref_poly_divmod(a, b):
+    a = _trim(list(a))
+    q = [0] * max(0, len(a) - len(b) + 1)
+    while len(a) >= len(b):
+        coef = GF2.mul(a[-1], GF2.inv(b[-1]))
+        deg = len(a) - len(b)
+        q[deg] = coef
+        for i, y in enumerate(b):
+            a[deg + i] = GF2.sub(a[deg + i], GF2.mul(coef, y))
+        _trim(a)
+    return _trim(q), a
+
+
+def ref_poly_mod(a, b):
+    return ref_poly_divmod(a, b)[1]
+
+
+def ref_poly_powmod(a, e, mod):
+    result, base = [1], ref_poly_mod(list(a), mod)
+    while e:
+        if e & 1:
+            result = ref_poly_mod(ref_poly_mul(result, base), mod)
+        e >>= 1
+        if e:
+            base = ref_poly_mod(ref_poly_mul(base, base), mod)
+    return result
+
+
+def ref_is_irreducible(coeffs):
+    """Rabin: monic f of degree d is irreducible over GF(2) iff
+    x^(2^d) = x (mod f) and gcd(x^(2^(d/p)) - x, f) = 1 for every prime
+    p dividing d."""
+    c = _trim(list(coeffs))
+    d = len(c) - 1
+    if d < 1:
+        return False
+    primes = [p for p in range(2, d + 1) if d % p == 0
+              and all(p % r for r in range(2, p))]
+    for p in primes:
+        a, b = ref_poly_add(ref_poly_powmod([0, 1], 2 ** (d // p), c), [0, 1]), c
+        while b:
+            a, b = b, ref_poly_mod(a, b)
+        if len(a) != 1:
+            return False
+    return not ref_poly_add(ref_poly_powmod([0, 1], 2 ** d, c), [0, 1])
+
+
+def ref_modulus(m):
+    """The lexicographically smallest (in the digit encoding) monic
+    irreducible polynomial of degree m over GF(2)."""
+    for idx in range(2 ** m):
+        cand = [(idx >> j) & 1 for j in range(m)] + [1]
+        if ref_is_irreducible(cand):
+            return tuple(cand)
+
+
+class RefField:
+    """GF(2)[x]/f by polynomial arithmetic on digit lists."""
+
+    def __init__(self, modulus):
+        self.f, self.m = list(modulus), len(modulus) - 1
+
+    def coeffs(self, a):
+        return [(a >> j) & 1 for j in range(self.m)]
+
+    def value(self, c):
+        return sum(x << j for j, x in enumerate(c))
+
+    def add(self, a, b):
+        return self.value([GF2.add(x, y) for x, y in zip(self.coeffs(a), self.coeffs(b))])
+
+    def sub(self, a, b):
+        return self.value([GF2.sub(x, y) for x, y in zip(self.coeffs(a), self.coeffs(b))])
+
+    def neg(self, a):
+        return self.value([GF2.neg(x) for x in self.coeffs(a)])
+
+    def mul(self, a, b):
+        prod = ref_poly_mul(_trim(self.coeffs(a)), _trim(self.coeffs(b)))
+        return self.value(ref_poly_mod(prod, self.f))
+
+    def inv(self, a):
+        """Extended Euclid on (a, f)."""
+        r0, r1 = list(self.f), _trim(self.coeffs(a))
+        s0, s1 = [], [1]
+        while r1:
+            q, r = ref_poly_divmod(r0, r1)
+            r0, r1 = r1, r
+            s0, s1 = s1, ref_poly_add(s0, ref_poly_mul(q, s1))
+        return self.value(ref_poly_mod(s0, self.f))
+
+    def pow(self, a, e):
+        if e < 0:
+            return self.inv(self.pow(a, -e))
+        out = 1
+        while e:
+            if e & 1:
+                out = self.mul(out, a)
+            a = self.mul(a, a)
+            e >>= 1
+        return out
 
 
 def test_make_field_rejects_non_prime_power():
@@ -79,18 +213,129 @@ def test_field_axioms_exhaustive(F):
 
 @pytest.mark.parametrize("q", [4, 8, 16, 32, 64])
 def test_gf2m_table_matches_polynomial_mul_exhaustive(q):
-    """The carry-less product table against polynomial multiplication and
-    reduction, for every pair of elements."""
+    """The product table against polynomial multiplication and reduction,
+    for every pair of elements."""
     F = gf.make_field(q)
-    assert F._mul_tab == [[F._mul_poly(a, b) for b in range(q)] for a in range(q)]
+    ref = RefField(F.modulus)
+    assert F._mul_tab == [[ref.mul(a, b) for b in range(q)] for a in range(q)]
 
 
 def test_gf256_table_matches_polynomial_mul_sampled():
     F = gf.make_field(256)
+    ref = RefField(F.modulus)
     rnd = random.Random(256)
     pairs = [(rnd.randrange(256), rnd.randrange(256)) for _ in range(4096)]
-    assert all(F.mul(a, b) == F._mul_poly(a, b) for a, b in pairs)
+    assert all(F.mul(a, b) == ref.mul(a, b) for a, b in pairs)
     assert all(type(x) is int for row in F._mul_tab for x in row)
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_field_ops_match_polynomial_reference_exhaustive(m):
+    """add/sub/neg/mul/inv/pow of GF(2^m) against polynomial arithmetic,
+    for every element and pair of elements, negative exponents included."""
+    q = 1 << m
+    F = gf.make_field(q)
+    ref = RefField(F.modulus)
+    for a in range(q):
+        assert F.neg(a) == ref.neg(a)
+        assert [F.add(a, b) for b in range(q)] == [ref.add(a, b) for b in range(q)]
+        assert [F.sub(a, b) for b in range(q)] == [ref.sub(a, b) for b in range(q)]
+        assert [F.mul(a, b) for b in range(q)] == [ref.mul(a, b) for b in range(q)]
+        exps = [0, 1, 2, 3, q - 2, q - 1, q, 2 * q + 5]
+        if a:
+            assert F.inv(a) == ref.inv(a)
+            exps += [-1, -2, -q]
+        assert [F.pow(a, e) for e in exps] == [ref.pow(a, e) for e in exps]
+
+
+def test_gf4096_ops_match_polynomial_reference_sampled():
+    F = gf.make_field(1 << 12)
+    assert F._mul_tab is None  # products by log/antilog tables
+    ref = RefField(F.modulus)
+    rnd = random.Random(12)
+    for _ in range(4096):
+        a, b, e = rnd.randrange(1, 4096), rnd.randrange(4096), rnd.randrange(-40, 40)
+        assert (F.add(a, b), F.sub(a, b), F.neg(b), F.mul(a, b), F.inv(a), F.pow(a, e)) \
+            == (ref.add(a, b), ref.sub(a, b), ref.neg(b), ref.mul(a, b), ref.inv(a), ref.pow(a, e))
+    assert F.mul(0, 7) == F.mul(7, 0) == F.pow(0, 5) == 0 and F.pow(0, 0) == 1
+
+
+@pytest.mark.parametrize("q", [1 << 10, 1 << 16])
+def test_sub_scaled_without_table(q):
+    """The elimination row operation of a field without a product table."""
+    F = gf.make_field(q)
+    rnd = random.Random(q)
+    x = [rnd.randrange(q) for _ in range(30)] + [0, 5]
+    y = [rnd.randrange(q) for _ in range(30)] + [0, 0]
+    for c in (1, 2, q - 1, rnd.randrange(1, q)):
+        assert F.sub_scaled(x, c, y) == [F.sub(v, F.mul(c, w)) for v, w in zip(x, y)]
+
+
+def test_pinned_moduli_are_the_lexicographic_search():
+    for m in range(2, 17):
+        assert gf.make_field(1 << m).modulus == ref_modulus(m), m
+
+
+def test_pinned_fields_generated_by_x_or_x_plus_1():
+    """Why building GF(2^m) is cheap: its generator search walks the powers
+    of x (a shift) and of x + 1 (a shift and an XOR) and mostly stops
+    there.  x generates every pinned field but m in {8, 9, 12, 14, 16},
+    and x + 1 generates those with m in {8, 12, 16}."""
+    def order(F, g):
+        n = F.order - 1
+        return min(d for d in range(1, n + 1) if n % d == 0 and F.pow(g, d) == 1)
+    for m in range(2, 17):
+        F = gf.make_field(1 << m)
+        assert (order(F, 2) == F.order - 1) == (m not in {8, 9, 12, 14, 16}), m
+        if m in {8, 9, 12, 14, 16}:
+            assert (order(F, 3) == F.order - 1) == (m in {8, 12, 16}), m
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_ext_field_accepts_exactly_the_irreducible_moduli(m):
+    for idx in range(2 ** m):
+        modulus = [(idx >> j) & 1 for j in range(m)] + [1]
+        if ref_is_irreducible(modulus):
+            F = gf.ExtField(GF2, m, modulus=modulus)
+            ref = RefField(modulus)
+            top = F.order - 1  # every coefficient set
+            assert all(F.mul(a, F.inv(a)) == 1 for a in F.nonzero())
+            assert [F.mul(top, b) for b in F.elements()] \
+                == [ref.mul(top, b) for b in F.elements()]
+        else:
+            with pytest.raises(ValueError, match="reducible"):
+                gf.ExtField(GF2, m, modulus=modulus)
+
+
+def test_ext_field_rejects_reducible_modulus_of_irreducible_factor_degrees():
+    """(x^3 + x + 1)(x^3 + x^2 + 1) satisfies x^64 = x, so only the
+    generator search shows it is not a field."""
+    f = ref_poly_mul([1, 1, 0, 1], [1, 0, 1, 1])
+    assert not ref_poly_add(ref_poly_powmod([0, 1], 64, f), [0, 1])
+    with pytest.raises(ValueError, match="reducible"):
+        gf.ExtField(GF2, 6, modulus=f)
+
+
+def test_odd_extension_fields_and_unpinned_degrees_refused():
+    for q in (9, 25, 27, 49):
+        with pytest.raises(ValueError, match="2\\^m"):
+            gf.make_field(q)
+    for base in (gf.PrimeField(3), gf.make_field(4)):
+        with pytest.raises(ValueError, match="GF\\(2\\)"):
+            gf.ExtField(base, 2)
+    with pytest.raises(ValueError, match="pinned"):
+        gf.make_field(1 << 17)
+    assert [gf.make_field(p).order for p in (3, 5, 7, 65537)] == [3, 5, 7, 65537]
+
+
+def test_gf65536_builds_fast():
+    """GF(2^16)'s log/antilog tables come from one walk of x's powers and
+    one of x + 1's (best of two, well under 200 ms)."""
+    def build():
+        t = time.perf_counter()
+        gf.ExtField(gf.PrimeField(2), 16)
+        return time.perf_counter() - t
+    assert min(build() for _ in range(2)) < 0.2
 
 
 def test_gf256_builds_fast():

@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from edgepir import cache, cli
+from edgepir import cache, cli, topology
 
 MEDIUM = {"library": {"F": 20, "beta": 6, "L": 128, "alpha": 0.7},
           "topology": {"gamma": [0] * 10 + [1]},
@@ -46,15 +46,37 @@ TRANSCRIPT = {
         "dd5477100a4f127a8312ba232eb573bfe6fe11496fd8337c31ce57200f068ac3",
 }
 
+# argv -> digest of its stdout
+STDOUT = {
+    "sweep --preset fig3":
+        "a577d3e8683a459ce7d68a9c62ffa5e6d82dc8d03662ac975102607867aa0d14",
+    "sweep --preset fig4":
+        "49a51992ecb99906297d0b69b5c01285b81227058d3ec6d724be6f91cd626170",
+    "sweep --preset fig5":
+        "5e23b984556eb02e411651f29fadef289959303af44373decba6dbe53e139e40",
+    "sweep --preset fig6":
+        "b355733ac56d7a64039384a3f785748173af76a979c542e60e69de671f0b0fd4",
+    "optimize --preset fig2":
+        "6f8cc04716c4b1f7808f431a324b9a67589fe612aaf9142d8c16863215a1c055",
+    "rates --preset fig2":
+        "2759dad43d115128826f2fb0ba3a88635607c10c5e3028d29b3163b6a661fe08",
+    "simulate --preset fig2 --trials 50":
+        "65ca90748c42c24501d0c3f244c0e578586acfeda2b1b408f450e6cd4a4f2377",
+}
+# repr of grid_gamma for the criterion-2 model (60 m lattice) at 10^5 samples
+GRID_GAMMA = "f549f0350d91a4b545dd7250b7ad3bfb8fd1dc82ae868f1da3a4259d873ef7e9"
+
 
 def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run(argv: list) -> None:
-    with contextlib.redirect_stdout(io.StringIO()):
+def run(argv: list) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
         code = cli.main(argv)
     assert code == 0, argv
+    return out.getvalue()
 
 
 @pytest.fixture(scope="module")
@@ -92,3 +114,14 @@ def test_transcript(snapshots, tmp_path, name, flags):
     run(["retrieve", str(snap), *cfg_flags, *flags.split(),
          "--dump-transcript", str(dump)])
     assert sha(dump.read_bytes()) == TRANSCRIPT[name, flags]
+
+
+@pytest.mark.parametrize("argv", STDOUT)
+def test_stdout(argv):
+    assert sha(run(argv.split()).encode()) == STDOUT[argv]
+
+
+def test_grid_gamma():
+    model = topology.GridModel(D=500.0, spacing=60.0, r=60.0)
+    cd = topology.grid_gamma(model, mc_samples=100000, seed=0)
+    assert sha(repr(cd).encode()) == GRID_GAMMA

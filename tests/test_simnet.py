@@ -101,6 +101,21 @@ def test_run_retrieval_cached_partial_coverage():
         assert tr.bits_from_mbs == 2 * simnet.response_bits(net.cache, 2)
 
 
+def test_all_cached_at_k1_with_n_equal_q_recovers():
+    """N_sbs = n = q = 8 with every file at k = 1: storage and blinding
+    codes are length-8 repetition codes over GF(8), whose dual distance
+    is k + 1 = 2 because they are MDS (an exhaustive scan would need
+    8^7 = 2^21 dual codewords)."""
+    rng = np.random.default_rng(8)
+    lib = cache.FileLibrary.random(4, 7, 16, [0.25] * 4, rng)
+    enc = cache.EncodedCache(lib, cache.CachingScheme(8, 4, [1] * 4, q=8))
+    net = simnet.Network(enc, [0.0] * 8 + [1.0])
+    for i in range(4):
+        for b in (0, 2, 3):
+            tr = simnet.run_retrieval(net, 1, 8, i, rng, b=b)
+            assert tr.success and tr.cached  # recovered bits are checked
+
+
 def test_run_retrieval_deterministic_under_seed():
     net = example_network([0.2, 0.1, 0.1, 0.1, 0.1, 0.2, 0.2])
     a = simnet.run_retrieval(net, 1, 6, 1, np.random.default_rng(9),
