@@ -141,9 +141,7 @@ def packing_params(scheme: CachingScheme, L: int) -> tuple[int, dict, int]:
     integer and divides delta_max; pad_bits is the zero padding appended to
     each stripe to reach the common packed length.
     """
-    p, m = gf.factor_prime_power(scheme.q)
-    if p != 2:
-        raise ValueError("bit packing requires q to be a power of 2")
+    m = gf.field_degree(scheme.q)
     cached = scheme.cached_files()
     if not cached:
         return 0, {}, 0
@@ -194,7 +192,7 @@ class EncodedCache:
                              if self.delta_max else None)
         cached = scheme.cached_files()
         self.codes = {i: scheme.storage_code(i) for i in cached}
-        m, beta, N = gf.factor_prime_power(scheme.q)[1], library.beta, scheme.N_sbs
+        m, beta, N = gf.field_degree(scheme.q), library.beta, scheme.N_sbs
         bits = np.pad(library.bits, [(0, 0), (0, 0), (0, self.pad_bits)])
         self.messages: dict[int, list[list[int]]] = dict.fromkeys(cached)
         self.symbols: dict[int, list[list[int]]] = dict.fromkeys(cached)
@@ -231,7 +229,7 @@ class EncodedCache:
         """Erasure-decode file i's stripes from >= k_i symbols at the given
         storage-code coordinates; returns the file's bit stripes."""
         code = self.codes[i]
-        symbol_bits = self.deltas[i] * gf.factor_prime_power(self.scheme.q)[1]
+        symbol_bits = self.deltas[i] * gf.field_degree(self.scheme.q)
         out = []
         for syms in symbols_by_stripe:
             word: list[Optional[int]] = [None] * code.n

@@ -33,10 +33,11 @@ class LinearCode:
         self.field = field
         self.n = len(G[0])
         self.k = len(G)
-        if gf.rank(field, G) != self.k:
-            raise ValueError("generator matrix is rank deficient")
         self.G = [list(r) for r in G]
+        # one elimination: G has rank n minus its null space's dimension
         self.H = gf.null_space(field, self.G)
+        if self.n - len(self.H) != self.k:
+            raise ValueError("generator matrix is rank deficient")
         self._mds = mds
 
     @property
@@ -129,13 +130,9 @@ def repetition_code(field: Field, n: int) -> LinearCode:
 
 
 def spc_code(field: Field, n: int) -> LinearCode:
-    """(n, n-1) single parity-check code, systematic generator."""
-    G = [[1 if j == i else (1 if j == n - 1 else 0) for j in range(n)]
-         for i in range(n - 1)]
-    # last column makes each row sum to zero only over GF(2); in general
-    # use -1 so that codewords satisfy the all-ones parity check
-    for i in range(n - 1):
-        G[i][n - 1] = field.neg(1)
+    """(n, n-1) single parity-check code, systematic generator with 1 in
+    the parity column, so codewords satisfy the all-ones parity check."""
+    G = [[1 if j in (i, n - 1) else 0 for j in range(n)] for i in range(n - 1)]
     return LinearCode(field, G, mds=True)
 
 
@@ -231,10 +228,8 @@ def erasure_decode(code: LinearCode, word: Sequence[Optional[int]]) -> list[int]
     coordinates (see :func:`solve_message`)."""
     q = code.field.order
     msg = solve_message(code, word)
-    delta = gf.digit_count(msg, q)
-    M = [gf.to_digits(m, q, delta) for m in msg]
-    return [gf.from_digits(row, q)
-            for row in gf.mat_mul(code.field, _transpose(code.G), M)]
+    digits = gf.digit_array(msg, q, gf.digit_count(msg, q))
+    return gf.digit_ints(gf.matmul(q, _transpose(code.G), digits), q)
 
 
 def dual_min_distance(code: LinearCode) -> int:

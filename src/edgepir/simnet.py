@@ -64,8 +64,7 @@ class RetrievalTranscript:
 
 def response_bits(cache: EncodedCache, d: int) -> int:
     """Exact size of one response: d subresponses of delta_max GF(q) digits."""
-    _, m = gf.factor_prime_power(cache.scheme.q)
-    return d * cache.delta_max * m
+    return d * cache.delta_max * gf.field_degree(cache.scheme.q)
 
 
 def transcript_bit_counts(cache: EncodedCache, cached: bool, b: int,

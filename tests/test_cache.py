@@ -8,6 +8,25 @@ import pytest
 from edgepir import cache, codes, gf
 
 
+# -- reference: scalar base-q digits, one divmod per digit -----------------
+
+def ref_to_digits(x, q, delta):
+    """The delta base-q digits of x, least significant first."""
+    out = []
+    for _ in range(delta):
+        x, d = divmod(x, q)
+        out.append(d)
+    return out
+
+
+def ref_from_digits(digits, q):
+    """Inverse of ref_to_digits."""
+    x = 0
+    for d in reversed(digits):
+        x = x * q + d
+    return x
+
+
 def example_cache():
     lib = cache.FileLibrary([[[1, 0, 0, 1, 1]], [[0, 1, 1, 0, 1]]], 5,
                             [0.5, 0.5])
@@ -92,7 +111,7 @@ def test_pack_unpack_roundtrip_with_padding():
     for k, q, L in [(3, 2, 7), (2, 4, 9), (1, 8, 10), (4, 2, 4)]:
         scheme = cache.CachingScheme(k + 1, 1, [Fraction(1, k)], q=q)
         _, deltas, pad = cache.packing_params(scheme, L)
-        symbol_bits = deltas[0] * gf.factor_prime_power(q)[1]
+        symbol_bits = deltas[0] * gf.field_degree(q)
         assert symbol_bits * k == L + pad
         bits = [int(rng.integers(2)) for _ in range(L)]
         packed = cache.pack_stripe(bits + [0] * pad, k)
@@ -120,7 +139,7 @@ def test_encoded_rows_are_codewords():
         for row in enc.symbols[i]:
             # parity checks hold over GF(q), digit by digit
             for e in range(delta):
-                digit = [gf.to_digits(s, q, delta)[e] for s in row]
+                digit = [ref_to_digits(s, q, delta)[e] for s in row]
                 assert code.contains(digit)
 
 
@@ -249,8 +268,8 @@ def test_encoding_matches_stripe_by_stripe_reference():
         for a, stripe in enumerate(lib.files[i]):
             msg = cache.pack_stripe(stripe + [0] * enc.pad_bits, k)
             assert enc.messages[i][a] == msg
-            per_digit = [enc.codes[i].encode([gf.to_digits(x, q, delta)[e] for x in msg])
+            per_digit = [enc.codes[i].encode([ref_to_digits(x, q, delta)[e] for x in msg])
                          for e in range(delta)]
-            word = [gf.from_digits([per_digit[e][j] for e in range(delta)], q)
+            word = [ref_from_digits([per_digit[e][j] for e in range(delta)], q)
                     for j in range(7)]
             assert enc.symbols[i][a] == word

@@ -158,6 +158,18 @@ def test_constraint_violation_exits_3(tmp_path, capsys):
     assert "constraint violation" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("q", [6, 7, 9, 1 << 17])
+def test_encode_field_size_not_2_to_the_m_exits_3(tmp_path, capsys, q):
+    """Every q the fields refuse gets one message naming the constraint."""
+    cfg = json.loads(resources.files("edgepir").joinpath("presets/fig2.json").read_text())
+    cfg["scheme"]["q"] = q
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run(["encode", "--config", str(path), "--out", str(tmp_path / "c.epir")]) == 3
+    assert capsys.readouterr().err == \
+        f"constraint violation: q = {q} unsupported: q must be 2^m, 1 <= m <= 16\n"
+
+
 def test_all_presets_load():
     for name in ("fig2", "fig3", "fig4", "fig5", "fig6"):
         class A:

@@ -8,38 +8,55 @@ import pytest
 from edgepir import codes, gf
 
 
-GF7 = gf.make_field(7)
 GF8 = gf.make_field(8)
 GF2 = gf.make_field(2)
 
 
+# -- reference: scalar base-q digits, one divmod per digit -----------------
+
+def ref_to_digits(x, q, delta):
+    """The delta base-q digits of x, least significant first."""
+    out = []
+    for _ in range(delta):
+        x, d = divmod(x, q)
+        out.append(d)
+    return out
+
+
+def ref_from_digits(digits, q):
+    """Inverse of ref_to_digits."""
+    x = 0
+    for d in reversed(digits):
+        x = x * q + d
+    return x
+
+
 def test_grs_k1_generator_is_v():
-    F = gf.make_field(5)
-    c = codes.grs(F, 3, 1, kappa=[1, 2, 3])
+    c = codes.grs(GF8, 3, 1, kappa=[1, 2, 3])
     assert c.G == [[1, 1, 1]]
 
 
 def test_grs_full_dimension_is_full_space():
-    c = codes.grs(GF7, 4, 4)
-    assert gf.rank(GF7, c.G) == 4
+    c = codes.grs(GF8, 4, 4)
+    assert gf.rank(GF8, c.G) == 4
     assert c.H == []
 
 
 def test_grs_every_k_subset_information_set():
-    c = codes.grs(GF7, 5, 2)
+    c = codes.grs(GF8, 5, 2)
     for I in combinations(range(5), 2):
         assert codes.is_information_set(c, I)
 
 
 def test_grs_rejects_bad_parameters():
     with pytest.raises(ValueError):
-        codes.grs(GF7, 5, 2, kappa=[1, 2, 3, 4, 4])
+        codes.grs(GF8, 5, 2, kappa=[1, 2, 3, 4, 4])
     with pytest.raises(ValueError):
-        codes.grs(GF7, 5, 2, v=[1, 0, 1, 1, 1])
+        codes.grs(GF8, 5, 2, v=[1, 0, 1, 1, 1])
     with pytest.raises(ValueError):
-        codes.grs(GF7, 7, 2)  # needs n <= q-1
+        codes.grs(GF8, 8, 2)  # needs n <= q-1
     with pytest.raises(ValueError):
-        codes.grs(GF7, 3, 4)
+        codes.grs(GF8, 3, 4)
 
 
 def test_grs_parity_check_annihilates_generator():
@@ -81,6 +98,19 @@ def test_linear_code_rejects_rank_deficient():
         codes.LinearCode(GF2, [[1, 1], [1, 1]])
 
 
+def test_linear_code_eliminates_generator_once(monkeypatch):
+    """The rank check and the parity-check matrix come from one rref of G."""
+    grs = codes.grs(GF8, 6, 3)
+    calls = []
+    rref = gf.rref
+    monkeypatch.setattr(gf, "rref", lambda F, A: calls.append(A) or rref(F, A))
+    c = codes.LinearCode(GF8, grs.G)
+    assert calls == [grs.G] and c.H == grs.H
+    with pytest.raises(ValueError, match="rank deficient"):
+        codes.LinearCode(GF8, [[1, 2, 3], [2, 4, 6]])
+    assert len(calls) == 2
+
+
 def test_identity_generator_no_redundancy():
     c = codes.LinearCode(GF2, [[1, 0], [0, 1]])
     assert c.H == []
@@ -88,13 +118,13 @@ def test_identity_generator_no_redundancy():
 
 
 def test_puncture_keep_all_identity():
-    c = codes.grs(GF7, 5, 2)
+    c = codes.grs(GF8, 5, 2)
     p = codes.puncture(c, range(5))
     assert p.G == c.G
 
 
 def test_puncture_grs_restricts_parameters():
-    c = codes.grs(GF7, 5, 2)
+    c = codes.grs(GF8, 5, 2)
     p = codes.puncture(c, [0, 1, 2])
     assert isinstance(p, codes.GrsCode)
     assert p.kappa == c.kappa[:3]
@@ -103,14 +133,14 @@ def test_puncture_grs_restricts_parameters():
 
 
 def test_puncture_below_k_raises():
-    c = codes.grs(GF7, 5, 3)
+    c = codes.grs(GF8, 5, 3)
     with pytest.raises(ValueError):
         codes.puncture(c, [0, 1])
 
 
 def test_hadamard_with_repetition_is_identity():
-    c = codes.grs(GF7, 5, 3)
-    rep = codes.grs(GF7, 5, 1)
+    c = codes.grs(GF8, 5, 3)
+    rep = codes.grs(GF8, 5, 1)
     h = codes.hadamard(rep, c)
     assert h.k == c.k
     for row in c.G:
@@ -118,7 +148,7 @@ def test_hadamard_with_repetition_is_identity():
 
 
 def test_hadamard_grs_dimension_law():
-    a = codes.grs(GF7, 5, 2)
+    a = codes.grs(GF8, 5, 2)
     h = codes.hadamard(a, a)
     assert h.k == 3
     for ka, kb in [(1, 2), (2, 3), (1, 4)]:
@@ -141,20 +171,20 @@ def test_worked_example_retrieval_code():
 
 
 def test_sum_code_idempotent_and_rank():
-    c = codes.grs(GF7, 5, 2)
+    c = codes.grs(GF8, 5, 2)
     assert codes.sum_code(c, c).k == 2
     rnd = random.Random(0)
     for _ in range(10):
-        Ga = [[rnd.randrange(7) for _ in range(5)] for _ in range(2)]
-        Gb = [[rnd.randrange(7) for _ in range(5)] for _ in range(2)]
-        if gf.rank(GF7, Ga) < 2 or gf.rank(GF7, Gb) < 2:
+        Ga = [[rnd.randrange(8) for _ in range(5)] for _ in range(2)]
+        Gb = [[rnd.randrange(8) for _ in range(5)] for _ in range(2)]
+        if gf.rank(GF8, Ga) < 2 or gf.rank(GF8, Gb) < 2:
             continue
-        a, b = codes.LinearCode(GF7, Ga), codes.LinearCode(GF7, Gb)
-        assert codes.sum_code(a, b).k == gf.rank(GF7, Ga + Gb)
+        a, b = codes.LinearCode(GF8, Ga), codes.LinearCode(GF8, Gb)
+        assert codes.sum_code(a, b).k == gf.rank(GF8, Ga + Gb)
 
 
 def test_information_set_counting_grs_5_3():
-    c = codes.grs(GF7, 5, 3)
+    c = codes.grs(GF8, 5, 3)
     count = sum(codes.is_information_set(c, I)
                 for I in combinations(range(5), 3))
     assert count == 10
@@ -193,7 +223,7 @@ def test_correctable_exhaustive_grs_6_3_matches_decoder():
 
 
 def test_erasure_decode_no_erasures_identity():
-    c = codes.grs(GF7, 5, 2)
+    c = codes.grs(GF8, 5, 2)
     cw = c.encode([4, 6])
     assert codes.erasure_decode(c, cw) == cw
 
@@ -227,8 +257,8 @@ def test_erasure_decode_symbols_of_several_digits():
     c = codes.grs(GF8, 7, 3)
     rnd = random.Random(4)
     msg = [rnd.randrange(8 ** 4) for _ in range(3)]
-    per_digit = [c.encode([gf.to_digits(m, 8, 4)[e] for m in msg]) for e in range(4)]
-    cw = [gf.from_digits([per_digit[e][j] for e in range(4)], 8) for j in range(7)]
+    per_digit = [c.encode([ref_to_digits(m, 8, 4)[e] for m in msg]) for e in range(4)]
+    cw = [ref_from_digits([per_digit[e][j] for e in range(4)], 8) for j in range(7)]
     word = [None, cw[1], None, cw[3], None, cw[5], None]
     assert codes.solve_message(c, word) == msg
     assert codes.erasure_decode(c, word) == cw
