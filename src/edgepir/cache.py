@@ -24,7 +24,7 @@ import struct
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -162,12 +162,6 @@ def pack_stripe(bits: Sequence[int], k: int) -> list[int]:
     return gf.bits_to_ints(np.asarray(bits, np.uint8).reshape(k, -1))
 
 
-def unpack_stripe(symbols: Sequence[int], symbol_bits: int, L: int) -> list[int]:
-    """Inverse of pack_stripe for symbols of symbol_bits bits, truncating
-    padding down to L bits."""
-    return gf.ints_to_bits(symbols, symbol_bits).reshape(-1)[:L].tolist()
-
-
 class EncodedCache:
     """Coded symbols c^(i)_{a,j} for every cached file i, stripe a, SBS j,
     plus the plaintext library retained at the MBS.
@@ -223,21 +217,6 @@ class EncodedCache:
         protocol coordinate no in-range SBS covers: the stored codeword
         coordinate, identical to cache_column(coord)."""
         return self.cache_column(coord)
-
-    def decode_file(self, i: int, coords: Sequence[int],
-                    symbols_by_stripe: Sequence[Sequence[int]]) -> list[list[int]]:
-        """Erasure-decode file i's stripes from >= k_i symbols at the given
-        storage-code coordinates; returns the file's bit stripes."""
-        code = self.codes[i]
-        symbol_bits = self.deltas[i] * gf.field_degree(self.scheme.q)
-        out = []
-        for syms in symbols_by_stripe:
-            word: list[Optional[int]] = [None] * code.n
-            for c, s in zip(coords, syms):
-                word[c] = s
-            msg = codes.solve_message(code, word)
-            out.append(unpack_stripe(msg, symbol_bits, self.library.L))
-        return out
 
 
 # ---------------------------------------------------------------------------

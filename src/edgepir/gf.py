@@ -234,7 +234,10 @@ def matmul(q: int, A, D: np.ndarray) -> np.ndarray:
 
 def ints_to_bits(values: Sequence[int], nbits: int) -> np.ndarray:
     """len(values) x nbits array of each value's low nbits bits, most
-    significant first, through one bytes object."""
+    significant first, through big-endian uint64s or one bytes object."""
+    if nbits <= 64:
+        data = np.array(values, ">u8").view(np.uint8)
+        return np.unpackbits(data).reshape(len(values), 64)[:, 64 - nbits:]
     width = (nbits + 7) // 8
     data = np.frombuffer(b"".join(x.to_bytes(width, "big") for x in values), np.uint8)
     return np.unpackbits(data).reshape(len(values), 8 * width)[:, 8 * width - nbits:]
@@ -244,6 +247,10 @@ def bits_to_ints(bits: np.ndarray) -> list:
     """The ints whose big-endian bits lie along the last axis of a 0/1
     array, nested as lists over the other axes."""
     rows, nbits = prod(bits.shape[:-1]), bits.shape[-1]
+    if nbits <= 64:  # right-aligned in 64 bits, read as big-endian uint64
+        padded = np.zeros((rows, 64), np.uint8)
+        padded[:, 64 - nbits:] = bits.reshape(rows, nbits)
+        return np.packbits(padded, axis=1).view(">u8").reshape(bits.shape[:-1]).tolist()
     data = np.packbits(bits.reshape(rows, nbits), axis=1).tobytes()
     width, shift = (nbits + 7) // 8, -nbits % 8
     flat = [int.from_bytes(data[j * width:(j + 1) * width], "big") >> shift
@@ -266,12 +273,17 @@ def digit_array(values: Sequence[int], q: int, delta: int) -> np.ndarray:
     return bit_digits(ints_to_bits(values, delta * m), m)
 
 
+def digit_bits(digits: np.ndarray, m: int) -> np.ndarray:
+    """Inverse of :func:`bit_digits`: the big-endian bit strings of the
+    base-2^m digit vectors along the last axis."""
+    bits = (digits[..., ::-1, None] >> np.arange(m - 1, -1, -1, dtype=digits.dtype)) & 1
+    return bits.reshape(*digits.shape[:-1], digits.shape[-1] * m)
+
+
 def digit_ints(digits, q: int) -> list:
     """Inverse of :func:`digit_array` along the last axis of a digit array
     (or nested lists), nested as lists over the other axes."""
-    digits, m = np.asarray(digits), field_degree(q)
-    bits = (digits[..., ::-1, None] >> np.arange(m - 1, -1, -1, dtype=digits.dtype)) & 1
-    return bits_to_ints(bits.reshape(*digits.shape[:-1], digits.shape[-1] * m))
+    return bits_to_ints(digit_bits(np.asarray(digits), field_degree(q)))
 
 
 class SymbolSpace:

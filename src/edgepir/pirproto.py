@@ -13,18 +13,19 @@ Responses are inner products of GF(q) query rows with the SBS cache
 column, whose symbols are vectors in GF(q)^{delta_max}, so every digit is
 answered independently.  Stacking round j's subresponses gives a vector
 that is a codeword of the retrieval code Ctilde = (sum_i C'_i) o Cbar plus
-the useful symbols on the support J_j of row j of the erasure matrix Ehat;
-applying Ctilde's parity check isolates those symbols, and one elimination
-over GF(q) with a right-hand side per digit solves for them.
-Gamma = n - (k_max + T - 1) symbols are freed per round, and the
-stripe bookkeeping {I_m}, {F_l} routes them to erasure decoders of the
-per-file storage codes.
+the useful symbols on the support J_j of row j of the erasure matrix Ehat.
+Gamma = n - (k_max + T - 1) symbols are freed per round, and the stripe
+bookkeeping {I_m}, {F_l} routes them to the storage codes' decoders.  All
+this depends only on (T, n, coords), so decoding is a linear map fixed at
+plan time: D_j = H_J^{-1} H frees round j's symbols, and one elimination
+per storage code and stripe gives rows that solve for the message and rows
+that check the k_max - k_i surplus symbols; :func:`recover` applies them.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass, replace
 from itertools import product
 from typing import Optional, Sequence
 
@@ -35,7 +36,7 @@ from .cache import EncodedCache
 from .spec import ProtocolError
 
 
-@dataclass
+@dataclass(slots=True)
 class ProtocolParams:
     cache: EncodedCache
     T: int
@@ -45,8 +46,8 @@ class ProtocolParams:
     Gamma: int
     beta: int
     Cbar: codes.LinearCode
-    Ctilde: codes.LinearCode
-    Cprime: dict  # file index -> punctured storage code on coords
+    Ctilde: Optional[codes.LinearCode]  # None in a session_plan
+    Cprime: Optional[dict]  # file index -> punctured storage code on coords
     cached: list  # cached file indices, ascending
 
     @property
@@ -111,33 +112,67 @@ def plan_protocol(cache: EncodedCache, T: int, n: int,
                           Cbar, Ctilde, Cprime, cached)
 
 
-@dataclass
+@dataclass(slots=True)
 class ErasureMatrix:
     Ehat: list  # d rows of n bits
-    J: list     # row supports, each a list of Gamma coordinates
-    I_sets: list  # beta information sets of C'_max, each size k_max
+    J: Optional[list]  # row supports, each a list of Gamma coordinates
+    I_sets: Optional[list]  # beta information sets of C'_max, each size k_max
     F_sets: list  # per coordinate l, sorted list of stripes m with l in I_m
+    D: np.ndarray  # d x Gamma x n, D_j = H_J^{-1} H (uint16, as plans are kept)
+    decoders: dict  # storage code -> its _stripe_decoder
+    gather: Optional[np.ndarray] = None  # beta x k_max rows of the stacked D_j rho_j
 
 
 def build_erasure_matrix(params: ProtocolParams) -> ErasureMatrix:
+    """Ehat, {I_m}, {F_l} and the recovery matrices, checking C1-C3."""
     d, n, Gamma = params.d, params.n, params.Gamma
     J = [[(j + t) % n for t in range(Gamma)] for j in range(d)]
     Ehat = [[1 if l in set(row) else 0 for l in range(n)] for row in J]
-    for row in Ehat:
+    F, H, D = params.base_field, params.Ctilde.H, []
+    for row, support in zip(Ehat, J):
         if sum(row) != Gamma:
             raise ValueError("erasure-matrix row does not have weight Gamma")
-        if not codes.correctable(params.Ctilde, row):
+        # [H_J | H] reduces to [I | H_J^{-1} H] iff the support is correctable
+        R, pivots = gf.rref(F, [[h[l] for l in support] + h for h in H])
+        if pivots != list(range(Gamma)):
             raise ValueError("erasure-matrix row not correctable by the retrieval code")
+        D.append([r[Gamma:] for r in R])
     I_sets, F_sets = build_information_sets(Ehat, params.beta, n, params.d)
-    k_max = params.cache.scheme.k_max
-    i_max = max(params.cached, key=lambda i: params.cache.scheme.k[i])
-    for I in I_sets:
-        if len(I) != k_max or not codes.is_information_set(params.Cprime[i_max], sorted(I)):
-            raise ValueError("constructed set is not an information set")
     for l in range(n):
         if len(F_sets[l]) != sum(Ehat[j][l] for j in range(d)):
             raise ValueError(f"coordinate {l} serves the wrong number of stripes")
-    return ErasureMatrix(Ehat, J, I_sets, F_sets)
+    decoders = {C: _stripe_decoder(C, I_sets, params.coords, params.cache.scheme.k_max)
+                for C in dict.fromkeys(params.cache.codes[i] for i in params.cached)}
+    em = ErasureMatrix(Ehat, J, I_sets, F_sets, np.array(D, np.uint16), decoders)
+    s_assign = _s_assignment(em, d, n)
+    slot = {(s_assign[l, j], l): j * Gamma + t for j, row in enumerate(J)
+            for t, l in enumerate(row)}
+    em.gather = np.array([[slot[m, l] for l in sorted(I)] for m, I in enumerate(I_sets)])
+    return em
+
+
+def _stripe_decoder(code: codes.LinearCode, I_sets: list, coords: list,
+                    k_max: int) -> np.ndarray:
+    """Per stripe, the right half E of one elimination of [(G|_I)^T | 1]
+    on storage coordinates coords[l], l in sorted(I_m): the first k entries
+    of E w are the message x when w = (G|_I)^T x, and the other k_max - k
+    vanish iff w is such a restriction.  Stacked, beta x k_max x k_max."""
+    k, E = code.k, []
+    for I in I_sets:
+        A = [[g[coords[l]] for g in code.G] + [int(s == t) for t in range(k_max)]
+             for s, l in enumerate(sorted(I))]
+        R, pivots = gf.rref(code.field, A)
+        if len(I) != k_max or pivots[:k] != list(range(k)):
+            raise ValueError("constructed set is not an information set")
+        E.append([r[k:] for r in R])
+    return np.array(E, np.uint16)
+
+
+def session_plan(params: ProtocolParams) -> tuple:
+    """(params, erasure matrix) to keep for sessions: without Ctilde,
+    Cprime, J and {I_m}, which only planning and its checks read."""
+    em = build_erasure_matrix(params)
+    return replace(params, Ctilde=None, Cprime=None), replace(em, J=None, I_sets=None)
 
 
 def build_information_sets(Ehat: list, beta: int, n: int, d: int):
@@ -232,13 +267,14 @@ def generate_queries(params: ProtocolParams, em: ErasureMatrix,
     return _queries_from_codewords(params, em, iota, codewords)
 
 
-def respond(params: ProtocolParams, Q_l: list, column: Sequence[int]) -> list[int]:
-    """One coordinate's response: Q^(l) times its cache column, one GF(q)
-    product over the column's digits."""
+def respond(params: ProtocolParams, Q_l: list, column) -> list[int]:
+    """One coordinate's response: Q^(l) times its cache column (symbols,
+    or their ``big_field.digits``), one GF(q) product over its digits."""
     big = params.big_field
     if any(len(row) != len(column) for row in Q_l):
         raise ValueError("query width does not match cache column length")
-    return big.ints(gf.matmul(big.q, Q_l, big.digits(column)))
+    digits = column if isinstance(column, np.ndarray) else big.digits(column)
+    return big.ints(gf.matmul(big.q, Q_l, digits))
 
 
 def _dot(field, row: Sequence[int], col: Sequence[int]) -> int:
@@ -259,41 +295,30 @@ def collect_responses(params: ProtocolParams, queries: QuerySet,
 
 def recover(params: ProtocolParams, em: ErasureMatrix, queries: QuerySet,
             responses: list) -> list[list[int]]:
-    """Solve for the useful symbols round by round, regroup them into
-    stripes, erasure-decode each stripe, and unpack to bits; raises
-    ProtocolError for a missing, short or inconsistent response."""
-    big = params.big_field
-    i = queries.file_index
-    H = params.Ctilde.H
-    Gamma = params.Gamma
+    """Free each round's useful symbols with D_j, regroup them into
+    stripes, check and solve each with its storage code's decoders, and
+    unpack to bits; raises ProtocolError for a missing, short or
+    inconsistent response."""
+    big, q, i = params.big_field, params.base_field.order, queries.file_index
     if len(responses) != params.n or any(r is None or len(r) != params.d for r in responses):
         raise ProtocolError(f"need {params.n} responses of {params.d} subresponses each")
     try:
         rho = big.digits([s for r in responses for s in r]).reshape(params.n, params.d, -1)
     except ValueError as e:
         raise ProtocolError(f"malformed response: {e}")
-    recovered: dict[tuple[int, int], list] = {}  # (stripe m, coord l) -> digits
-    for j in range(params.d):
-        # H_J x = H rho_j, one right-hand-side column per digit
-        syndrome = gf.matmul(big.q, H, rho[:, j]).tolist()
-        support = em.J[j]
-        aug = [[Hrow[l] for l in support] + s for Hrow, s in zip(H, syndrome)]
-        R, pivots = gf.rref(params.base_field, aug)
-        if pivots != list(range(Gamma)):
-            raise ProtocolError("inconsistent responses: corrupted subresponse")
-        for l, row in zip(support, R):
-            recovered[(queries.s_assign[(l, j)], l)] = row[Gamma:]
-    stripes_bits = []
-    for m in range(params.beta):
-        I = sorted(em.I_sets[m])
-        digits = np.array([recovered[(m, l)] for l in I])
-        try:
-            symbols = big.ints(gf.project(digits, params.cache.deltas[i]))
-            stripes_bits += params.cache.decode_file(
-                i, [params.coords[l] for l in I], [symbols])
+    freed = np.concatenate([gf.matmul(q, D_j, rho[:, j]) for j, D_j in enumerate(em.D)])
+    k, messages = params.cache.scheme.k[i], []
+    for rows, E in zip(em.gather, em.decoders[params.cache.codes[i]]):
+        try:  # a non-zero digit above delta_i
+            EW = gf.matmul(q, E, gf.project(freed[rows], params.cache.deltas[i]))
         except ValueError as e:
             raise ProtocolError(f"inconsistent responses: {e}")
-    return stripes_bits
+        if EW[k:].any():
+            raise ProtocolError("inconsistent responses: received symbols are not "
+                                "consistent with the code")
+        messages.append(EW[:k])
+    bits = gf.digit_bits(np.array(messages), params.base_field.degree)
+    return bits.reshape(params.beta, -1)[:, :params.cache.library.L].tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -32,14 +32,32 @@ from .topology import CoverageDistribution
 
 @dataclass
 class Network:
+    """A cache and its coverage, plus the plans and digit columns that its
+    sessions reuse, each built on first use (a plan draws no randomness)."""
+
     cache: EncodedCache
     gamma: list  # coverage distribution over the in-range SBS count b
+    plans: dict = field(default_factory=dict, init=False, repr=False)
+    columns: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.gamma = CoverageDistribution(rates._gamma_list(self.gamma)).gamma
 
     def sample_b(self, rng) -> int:
         return int(rng.choice(len(self.gamma), p=self.gamma))
+
+    def plan(self, T: int, n: int, coords: Sequence[int]) -> tuple:
+        """pirproto.session_plan for a session on these coordinates."""
+        key = (T, n, tuple(coords))
+        if key not in self.plans:
+            self.plans[key] = pirproto.session_plan(pirproto.plan_protocol(self.cache, *key))
+        return self.plans[key]
+
+    def column(self, c: int) -> np.ndarray:
+        """Coordinate c's cache column (the MBS serves the same) as digits."""
+        if c not in self.columns:
+            self.columns[c] = self.cache.symbol_field.digits(self.cache.cache_column(c))
+        return self.columns[c]
 
 
 @dataclass
@@ -100,8 +118,7 @@ def run_retrieval(network: Network, T: int, n: int, file_index: int, rng,
     if len(coords) < n:
         raise ValueError("not enough storage coordinates for n")
     is_cached = scheme.mu[file_index] != 0
-    params = pirproto.plan_protocol(cache, T, n, coords)
-    em = pirproto.build_erasure_matrix(params)
+    params, em = network.plan(T, n, coords)
     if is_cached:
         target = file_index
     else:
@@ -114,9 +131,7 @@ def run_retrieval(network: Network, T: int, n: int, file_index: int, rng,
     responses = []
     for pos, c in enumerate(coords):
         if is_cached or pos < sbs_count:
-            column = (cache.cache_column(c) if pos < sbs_count
-                      else cache.mbs_column(c))
-            responses.append(pirproto.respond(params, queries.Q[pos], column))
+            responses.append(pirproto.respond(params, queries.Q[pos], network.column(c)))
         else:
             responses.append(None)  # uncached: MBS coordinates not requested
     if is_cached and pirproto.recover(params, em, queries, responses) \
@@ -185,8 +200,7 @@ def spy_coalition(network: Network, T: int, n: int, coalition: Sequence[int],
     ``sabotage`` disables the blinding randomness (all-zero codewords),
     which should be detected as a privacy failure.
     """
-    params = pirproto.plan_protocol(network.cache, T, n)
-    em = pirproto.build_erasure_matrix(params)
+    params, em = network.plan(T, n, range(n))
     coalition = sorted(coalition)
     if not coalition:
         return {"p_value": 1.0, "reject": False, "sessions": sessions}

@@ -116,7 +116,7 @@ def test_pack_unpack_roundtrip_with_padding():
         bits = [int(rng.integers(2)) for _ in range(L)]
         packed = cache.pack_stripe(bits + [0] * pad, k)
         assert all(0 <= s < q ** deltas[0] for s in packed)
-        assert cache.unpack_stripe(packed, symbol_bits, L) == bits
+        assert gf.ints_to_bits(packed, symbol_bits).reshape(-1)[:L].tolist() == bits
 
 
 def test_packing_params_divisibility():
@@ -185,9 +185,15 @@ def test_decode_any_k_columns():
     for i in scheme.cached_files():
         k = scheme.k[i]
         coords = list(rng.choice(7, size=k, replace=False))
-        syms = [[enc.symbols[i][a][c] for c in coords]
-                for a in range(lib.beta)]
-        assert enc.decode_file(i, coords, syms) == lib.files[i]
+        symbol_bits = enc.deltas[i] * gf.field_degree(scheme.q)
+        for a in range(lib.beta):
+            word = [None] * 7
+            for c in coords:
+                word[c] = enc.symbols[i][a][c]
+            msg = codes.solve_message(enc.codes[i], word)
+            assert msg == enc.messages[i][a]
+            assert gf.ints_to_bits(msg, symbol_bits).reshape(-1)[:lib.L].tolist() == \
+                lib.files[i][a]
 
 
 def test_storage_fraction_per_sbs():

@@ -68,6 +68,25 @@ def ref_from_digits(digits, q):
     return x
 
 
+# -- reference: int <-> bits through one bytes object ----------------------
+# The conversions before strings of <= 64 bits went through uint64, kept as
+# their reference.
+
+def ref_ints_to_bits(values, nbits):
+    width = (nbits + 7) // 8
+    data = np.frombuffer(b"".join(x.to_bytes(width, "big") for x in values), np.uint8)
+    return np.unpackbits(data).reshape(len(values), 8 * width)[:, 8 * width - nbits:]
+
+
+def ref_bits_to_ints(bits):
+    rows, nbits = int(np.prod(bits.shape[:-1])), bits.shape[-1]
+    data = np.packbits(bits.reshape(rows, nbits), axis=1).tobytes()
+    width, shift = (nbits + 7) // 8, -nbits % 8
+    flat = [int.from_bytes(data[j * width:(j + 1) * width], "big") >> shift
+            for j in range(rows)]
+    return np.array(flat, object).reshape(bits.shape[:-1]).tolist()
+
+
 def ref_mat_mul(F, A, B):
     """A B over F, one field product per pair of entries."""
     out = [[0] * len(B[0]) for _ in A]
@@ -582,6 +601,27 @@ def test_bits_ints_roundtrip(nbits):
                              for x in values]
     assert gf.bits_to_ints(bits) == values
     assert all(type(x) is int for x in gf.bits_to_ints(bits))
+
+
+@pytest.mark.parametrize("nbits", list(range(1, 65)) + [65, 128])
+def test_bits_ints_match_bytes_reference(nbits):
+    """The uint64 path (nbits <= 64) and the bytes path against the
+    bytes-object reference, on flat, nested and empty inputs."""
+    rnd = random.Random(nbits)
+    values = [0, (1 << nbits) - 1] + [rnd.randrange(1 << nbits) for _ in range(22)]
+    bits = gf.ints_to_bits(values, nbits)
+    assert bits.dtype == np.uint8 and bits.shape == (24, nbits)
+    assert np.array_equal(bits, ref_ints_to_bits(values, nbits))
+    for shape in [(24,), (2, 3, 4), (4, 1, 6)]:
+        nested = bits.reshape(*shape, nbits)
+        got = gf.bits_to_ints(nested)
+        assert got == ref_bits_to_ints(nested)
+        assert np.array(got, object).reshape(-1).tolist() == values
+    assert gf.bits_to_ints(bits[0]) == ref_bits_to_ints(bits[0]) == 0
+    assert gf.ints_to_bits([], nbits).shape == ref_ints_to_bits([], nbits).shape == (0, nbits)
+    for shape in [(0,), (3, 0)]:
+        empty = np.zeros((*shape, nbits), np.uint8)
+        assert gf.bits_to_ints(empty) == ref_bits_to_ints(empty)
 
 
 # -- linear algebra ---------------------------------------------------------

@@ -10,7 +10,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from edgepir import cache, codes, pirproto
+from edgepir import cache, codes, gf, pirproto, simnet
 from edgepir.spec import ProtocolError
 
 
@@ -231,6 +231,7 @@ def test_respond_linearity():
     r2 = pirproto.respond(params, qs.Q[0], c2)
     rs = pirproto.respond(params, qs.Q[0], csum)
     assert rs == [big.add(a, b) for a, b in zip(r1, r2)]
+    assert pirproto.respond(params, qs.Q[0], big.digits(c1)) == r1
 
 
 def test_example_rho_decomposition():
@@ -417,6 +418,139 @@ def test_corrupted_multirate_response_fails_typed():
                 pirproto.recover(params, em, qs, bad)
             except ProtocolError:
                 pass
+
+
+def reference_recover(params, em, queries, responses):
+    """Recovery with one elimination per round and one per stripe: the
+    implementation that the plan-time matrices replaced, kept as their
+    reference.  Round j solves H_J x = H rho_j; each stripe's symbols are
+    decoded through their ints with codes.solve_message."""
+    big = params.big_field
+    i = queries.file_index
+    H, Gamma = params.Ctilde.H, params.Gamma
+    if len(responses) != params.n or any(r is None or len(r) != params.d for r in responses):
+        raise ProtocolError(f"need {params.n} responses of {params.d} subresponses each")
+    try:
+        rho = big.digits([s for r in responses for s in r]).reshape(params.n, params.d, -1)
+    except ValueError as e:
+        raise ProtocolError(f"malformed response: {e}")
+    recovered = {}  # (stripe m, coord l) -> digits
+    for j in range(params.d):
+        syndrome = gf.matmul(big.q, H, rho[:, j]).tolist()
+        support = em.J[j]
+        aug = [[Hrow[l] for l in support] + s for Hrow, s in zip(H, syndrome)]
+        R, pivots = gf.rref(params.base_field, aug)
+        if pivots != list(range(Gamma)):
+            raise ProtocolError("inconsistent responses: corrupted subresponse")
+        for l, row in zip(support, R):
+            recovered[(queries.s_assign[(l, j)], l)] = row[Gamma:]
+    code, delta = params.cache.codes[i], params.cache.deltas[i]
+    symbol_bits = delta * params.base_field.degree
+    stripes_bits = []
+    for m in range(params.beta):
+        I = sorted(em.I_sets[m])
+        digits = np.array([recovered[(m, l)] for l in I])
+        try:
+            symbols = big.ints(gf.project(digits, delta))
+            word = [None] * code.n
+            for l, sym in zip(I, symbols):
+                word[params.coords[l]] = sym
+            msg = codes.solve_message(code, word)
+        except ValueError as e:
+            raise ProtocolError(f"inconsistent responses: {e}")
+        bits = gf.ints_to_bits(msg, symbol_bits).reshape(-1)[:params.cache.library.L]
+        stripes_bits.append(bits.tolist())
+    return stripes_bits
+
+
+def fig2_cache():
+    return example_instance()[0]
+
+
+def medium_cache():
+    """Medium-shaped: q = 16, every file at k = 3 (n = N_sbs = 6, T = 2)."""
+    mu = [Fraction(1, 3)] * 4
+    lib = cache.FileLibrary.random(4, 2, 16, [0.25] * 4, np.random.default_rng(1))
+    return cache.EncodedCache(lib, cache.CachingScheme(6, sum(mu), mu, q=16))
+
+
+def multirate_cache():
+    """Multirate-shaped: q = 8, k in {1, 2}, two uncached files."""
+    mu = [Fraction(1)] * 2 + [Fraction(1, 2)] * 4 + [Fraction(0)] * 2
+    lib = cache.FileLibrary.random(8, 4, 24, [1 / 8] * 8, np.random.default_rng(0))
+    return cache.EncodedCache(lib, cache.CachingScheme(6, sum(mu), mu, q=8))
+
+
+def outcome(recover, params, em, qs, resp):
+    try:
+        return recover(params, em, qs, resp)
+    except ProtocolError:
+        return ProtocolError
+
+
+@pytest.mark.parametrize("make_cache,T", [(fig2_cache, 1), (medium_cache, 2),
+                                          (multirate_cache, 1)])
+def test_recover_matches_reference_under_corruption(make_cache, T):
+    """At every in-range count b, a session's recovery equals the
+    reference's, and so does every corrupted copy of its responses (1,
+    2^5 or 2^20 XOR-ed into one subresponse, one response dropped or
+    short): the same bits, or ProtocolError from both."""
+    enc = make_cache()
+    net = simnet.Network(enc, [1.0])
+    n, rng = enc.scheme.N_sbs, np.random.default_rng(7)
+    cached = enc.scheme.cached_files()
+    for b in range(n + 1):
+        tr = simnet.run_retrieval(net, T, n, cached[b % len(cached)], rng, b=b,
+                                  keep_messages=True)
+        params = pirproto.plan_protocol(enc, T, n, tr.coords)
+        em = pirproto.build_erasure_matrix(params)
+        resp = tr.responses
+        assert pirproto.recover(params, em, tr.queries, resp) == \
+            reference_recover(params, em, tr.queries, resp) == enc.library.files[tr.file_index]
+        damaged = []
+        for l, j, v in product(range(n), range(params.d), (1, 1 << 5, 1 << 20)):
+            bad = [list(r) for r in resp]
+            bad[l][j] ^= v
+            damaged.append(bad)
+        damaged += [resp[:2] + [None] + resp[3:], resp[:2] + [resp[2][:-1]] + resp[3:]]
+        for bad in damaged:
+            assert outcome(pirproto.recover, params, em, tr.queries, bad) == \
+                outcome(reference_recover, params, em, tr.queries, bad)
+
+
+def test_surplus_symbol_of_low_rate_stripe_is_checked():
+    """A k = 1 file's stripe gets k_max = 2 symbols; corrupting either one
+    in its low digit (so it still fits delta_i digits) must raise."""
+    enc = multirate_cache()
+    params = pirproto.plan_protocol(enc, T=1, n=6)
+    em = pirproto.build_erasure_matrix(params)
+    qs = pirproto.generate_queries(params, em, 0, np.random.default_rng(3))
+    resp = pirproto.collect_responses(params, qs, [enc.cache_column(c) for c in params.coords])
+    assert enc.scheme.k[0] == 1 and pirproto.recover(params, em, qs, resp) == enc.library.files[0]
+    for row in em.gather:
+        for slot in row:
+            # XOR into coordinate J_j[t]'s round-j subresponse moves only
+            # the freed symbol (j, t), since D_j's column J_j[t] is e_t
+            j, t = divmod(int(slot), params.Gamma)
+            bad = [list(r) for r in resp]
+            bad[em.J[j][t]][j] ^= 1
+            with pytest.raises(ProtocolError, match="not consistent with the code"):
+                pirproto.recover(params, em, qs, bad)
+
+
+def test_planned_session_needs_no_elimination(monkeypatch):
+    """After planning, a full cached session (queries, responses,
+    recovery) runs without gf.rref."""
+    net = simnet.Network(multirate_cache(), [1.0])
+    simnet.run_retrieval(net, 1, 6, 2, np.random.default_rng(0), b=6)
+
+    def no_rref(*args):
+        raise AssertionError("gf.rref called after planning")
+
+    monkeypatch.setattr(gf, "rref", no_rref)
+    for f in (0, 2, 5):
+        tr = simnet.run_retrieval(net, 1, 6, f, np.random.default_rng(f), b=6)
+        assert tr.success and tr.cached
 
 
 def test_exact_privacy_refuses_before_enumerating():

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from edgepir import cache, rates, simnet
+from edgepir import cache, pirproto, rates, simnet
 from edgepir.topology import CoverageDistribution
 
 
@@ -169,6 +169,42 @@ def test_spy_coalition_detects_sabotage():
     rep = simnet.spy_coalition(net, 1, 6, [0], sessions=400, rng=rng,
                                sabotage=True)
     assert rep["reject"] and rep["p_value"] < 1e-6
+
+
+def test_plans_built_once_per_coordinate_list(monkeypatch):
+    """Over 200 sessions on one network, plan_protocol runs once per
+    distinct (T, n, coords), and every transcript equals the one a fresh
+    network per session gives under the same seed; spy_coalition plans
+    once too."""
+    mu = [Fraction(1)] * 2 + [Fraction(1, 2)] * 4 + [Fraction(0)] * 2
+    lib = cache.FileLibrary.random(8, 4, 24, [1 / 8] * 8, np.random.default_rng(0))
+    enc = cache.EncodedCache(lib, cache.CachingScheme(6, sum(mu), mu, q=8))
+    gamma = [1 / 7] * 7
+    calls = []
+    plan = pirproto.plan_protocol
+
+    def counted(cache_, T, n, coords=None):
+        calls.append((T, n, tuple(coords)))
+        return plan(cache_, T, n, coords)
+
+    monkeypatch.setattr(pirproto, "plan_protocol", counted)
+
+    def sessions(network_for):
+        rng = np.random.default_rng(5)
+        return [simnet.run_retrieval(network_for(), 1, 6, t % 8, rng, keep_messages=True)
+                for t in range(200)]
+
+    net = simnet.Network(enc, gamma)
+    shared = sessions(lambda: net)
+    assert len(calls) == len(set(calls)) == len({tuple(tr.coords) for tr in shared}) > 10
+    calls.clear()
+    assert sessions(lambda: simnet.Network(enc, gamma)) == shared
+    assert len(calls) == 200
+    calls.clear()
+    net = simnet.Network(enc, gamma)
+    for seed in (1, 2):
+        simnet.spy_coalition(net, 1, 6, [3], sessions=20, rng=np.random.default_rng(seed))
+    assert calls == [(1, 6, tuple(range(6)))]
 
 
 def test_monte_carlo_counts_bits_from_responses(monkeypatch):
