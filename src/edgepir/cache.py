@@ -72,9 +72,7 @@ class FileLibrary:
 
     @classmethod
     def random(cls, F: int, beta: int, L: int, popularity: Sequence[float], rng):
-        files = [[[int(rng.integers(2)) for _ in range(L)] for _ in range(beta)]
-                 for _ in range(F)]
-        return cls(files, L, popularity)
+        return cls(rng.integers(2, size=(F, beta, L)), L, popularity)
 
 
 class CachingScheme:
@@ -152,14 +150,6 @@ def packing_params(scheme: CachingScheme, L: int) -> tuple[int, dict, int]:
     deltas = {i: delta_max * kmin // scheme.k[i] for i in cached}
     pad_bits = delta_max * kmin * m - L
     return delta_max, deltas, pad_bits
-
-
-def pack_stripe(bits: Sequence[int], k: int) -> list[int]:
-    """Split a (padded) stripe into k packets and read each big-endian as
-    the int of a symbol."""
-    if len(bits) % k:
-        raise ValueError("stripe length not divisible by k")
-    return gf.bits_to_ints(np.asarray(bits, np.uint8).reshape(k, -1))
 
 
 class EncodedCache:

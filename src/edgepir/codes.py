@@ -13,7 +13,6 @@ one right-hand side per digit.  Coordinates are 0-based throughout.
 
 from __future__ import annotations
 
-from itertools import combinations, product
 from typing import Optional, Sequence
 
 from . import gf
@@ -25,8 +24,8 @@ class LinearCode:
 
     The parity-check matrix H is computed from the null space of G and
     satisfies G Ht = 0.  ``mds`` is True when the code is known to be
-    maximum distance separable (always for GRS; for generic generators
-    checked exhaustively on first read when n is small, else None).
+    maximum distance separable (every code :func:`mds_code` builds, and
+    their punctures), else None: nothing checks a generic generator.
     """
 
     def __init__(self, field: Field, G: list, mds: Optional[bool] = None):
@@ -38,26 +37,12 @@ class LinearCode:
         self.H = gf.null_space(field, self.G)
         if self.n - len(self.H) != self.k:
             raise ValueError("generator matrix is rank deficient")
-        self._mds = mds
-
-    @property
-    def mds(self) -> Optional[bool]:
-        if self._mds is None and self.n <= 12:
-            self._mds = self._check_mds()
-        return self._mds
-
-    def _check_mds(self) -> bool:
-        return all(is_information_set(self, I) for I in combinations(range(self.n), self.k))
+        self.mds = mds
 
     def encode(self, message: Sequence[int]) -> list[int]:
         if len(message) != self.k:
             raise ValueError("message length must equal k")
         return gf.mat_vec(self.field, _transpose(self.G), message)
-
-    def codewords(self):
-        """Iterate all q^k codewords (desk scale only)."""
-        for msg in product(self.field.elements(), repeat=self.k):
-            yield self.encode(msg)
 
     def contains(self, word: Sequence[int]) -> bool:
         return all(v == 0 for v in gf.mat_vec(self.field, self.H, word)) if self.H else True
@@ -67,28 +52,23 @@ class LinearCode:
 
 
 class GrsCode(LinearCode):
-    """GRS code with parameters (n, k, v, kappa): codewords are
-    (v_1 f(kappa_1), ..., v_n f(kappa_n)) for polynomials f of degree < k.
+    """GRS code with evaluation points kappa and unit weights: codewords
+    are (f(kappa_1), ..., f(kappa_n)) for polynomials f of degree < k.
     """
 
-    def __init__(self, field: Field, n: int, k: int, v: Sequence[int], kappa: Sequence[int]):
+    def __init__(self, field: Field, n: int, k: int, kappa: Sequence[int]):
         if k > n:
             raise ValueError("k must be <= n")
-        if len(v) != n or len(kappa) != n:
-            raise ValueError("v and kappa must have length n")
-        if any(x == 0 for x in v):
-            raise ValueError("weighting vector entries must be nonzero")
+        if len(kappa) != n:
+            raise ValueError("kappa must have length n")
         if any(x == 0 for x in kappa):
             raise ValueError("evaluation points must be nonzero")
         if len(set(kappa)) != n:
             raise ValueError("evaluation points must be pairwise distinct")
         if n > field.order - 1:
             raise ValueError("need n <= q-1 distinct nonzero evaluation points")
-        G = []
-        for row in range(k):
-            G.append([field.mul(v[j], field.pow(kappa[j], row)) for j in range(n)])
+        G = [[field.pow(x, row) for x in kappa] for row in range(k)]
         super().__init__(field, G, mds=True)
-        self.v = list(v)
         self.kappa = list(kappa)
 
     def __repr__(self) -> str:
@@ -102,13 +82,11 @@ def default_kappa(field: Field, n: int) -> list[int]:
     return list(range(1, n + 1))
 
 
-def grs(field: Field, n: int, k: int, v: Optional[Sequence[int]] = None,
+def grs(field: Field, n: int, k: int,
         kappa: Optional[Sequence[int]] = None) -> GrsCode:
     if kappa is None:
         kappa = default_kappa(field, n)
-    if v is None:
-        v = [1] * n
-    return GrsCode(field, n, k, v, kappa)
+    return GrsCode(field, n, k, kappa)
 
 
 def mds_code(field: Field, n: int, k: int,
@@ -147,10 +125,8 @@ def puncture(code: LinearCode, keep_coords: Sequence[int]) -> LinearCode:
         raise ValueError("puncturing below dimension k loses information")
     G = [[row[c] for c in keep] for row in code.G]
     if isinstance(code, GrsCode):
-        return GrsCode(code.field, len(keep), code.k,
-                       [code.v[c] for c in keep], [code.kappa[c] for c in keep])
-    # puncturing keeps an MDS code MDS; anything else is checked on read
-    return LinearCode(code.field, G, mds=True if code._mds else None)
+        return GrsCode(code.field, len(keep), code.k, [code.kappa[c] for c in keep])
+    return LinearCode(code.field, G, mds=code.mds)  # puncturing keeps MDS codes MDS
 
 
 def _transpose(A: list) -> list:
@@ -233,24 +209,14 @@ def erasure_decode(code: LinearCode, word: Sequence[Optional[int]]) -> list[int]
 
 
 def dual_min_distance(code: LinearCode) -> int:
-    """Minimum Hamming distance of the dual code.
+    """Minimum Hamming distance of the dual of a code known to be MDS.
 
     The dual of an (n, k) MDS code is an (n, n - k) MDS code, so d = k + 1
-    whenever the code is known to be MDS (always for GRS, repetition and
-    single parity-check codes); otherwise the dual's codewords are scanned
-    exhaustively (desk scale only).
+    (GRS, repetition and single parity-check codes, the codes
+    :func:`mds_code` builds); ValueError for any other code.
     """
-    dual_dim = code.n - code.k
-    if dual_dim == 0:
+    if code.n == code.k:
         raise ValueError("dual code is trivial (k = n)")
-    if code.mds:
-        return code.k + 1
-    if code.field.order ** dual_dim > 1 << 20:
-        raise ValueError("instance too large for exhaustive dual-distance scan")
-    dual = LinearCode(code.field, _row_basis(code.field, code.H))
-    best = None
-    for cw in dual.codewords():
-        w = sum(1 for x in cw if x)
-        if w and (best is None or w < best):
-            best = w
-    return best
+    if not code.mds:
+        raise ValueError("dual distance is known only for codes known to be MDS")
+    return code.k + 1

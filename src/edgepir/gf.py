@@ -164,9 +164,6 @@ class ExtField:
             return 0 if e else 1
         return self._exp[self._log[a] * e % (self.order - 1)]
 
-    def elements(self) -> range:
-        return range(self.order)
-
     def __repr__(self) -> str:
         return f"GF(2^{self.degree})" if self.degree > 1 else "GF(2)"
 

@@ -74,7 +74,7 @@ class _GammaSums:
 
 def optimize_pir(p: Sequence[float], gamma, M, T: int,
                  k_candidates: Optional[Sequence[int]] = None,
-                 n_cap: Optional[int] = None, theta: float = 0.0) -> Optimum:
+                 theta: float = 0.0) -> Optimum:
     """Exhaustive (k, n) scan of the uniform-placement objective
     R + theta*D, theta in [0, 1]; theta = 0 optimizes the backhaul rate
     alone."""
@@ -91,8 +91,7 @@ def optimize_pir(p: Sequence[float], gamma, M, T: int,
     best = None
     candidates = []
     for k in k_candidates:
-        cap = n_cap if n_cap is not None else N_max + k + T
-        for n in range(k + T, cap + 1):
+        for n in range(k + T, N_max + k + T + 1):
             candidates.append((n, k))
     sums = _GammaSums(g)
     cached = {k: min(M.numerator * k // M.denominator, F) for _, k in candidates}
@@ -121,8 +120,7 @@ def optimize_weighted(p: Sequence[float], gamma, M, T: int, theta: float,
     return optimize_pir(p, gamma, M, T, theta=theta, **kwargs)
 
 
-def popular_pir(p: Sequence[float], gamma, M: int, T: int,
-                n_cap: Optional[int] = None) -> Optimum:
+def popular_pir(p: Sequence[float], gamma, M: int, T: int) -> Optimum:
     """PIR rate when the M most popular files are cached whole (k = 1),
     minimized over the number of contacted coordinates n."""
     g = rates._gamma_list(gamma)
@@ -130,17 +128,14 @@ def popular_pir(p: Sequence[float], gamma, M: int, T: int,
     if not 0 <= M <= F:
         raise ValueError(f"cannot cache {M} whole files of {F}")
     N_max = max((b for b, x in enumerate(g) if x > 0), default=0)
-    cap = n_cap if n_cap is not None else N_max + 1 + T
     P = _prefix_sums(p)
     table = []
     best = None
-    for n in range(T + 1, cap + 1):
+    for n in range(T + 1, N_max + T + 2):
         obj = P[M] * rates.expected_mbs_coords(g, n) / (n - T) + (P[F] - P[M])
         table.append({"k": 1, "n": n, "files_cached": M, "value": obj})
         if best is None or obj < best["value"] - SLACK:
             best = table[-1]
-    if best is None:
-        raise ValueError("empty feasible range for n")
     return Optimum(Fraction(1), 1, best["n"], M, best["value"], table)
 
 

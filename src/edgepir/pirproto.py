@@ -25,7 +25,7 @@ that check the k_max - k_i surplus symbols; :func:`recover` applies them.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product
 from typing import Optional, Sequence
 
@@ -46,8 +46,8 @@ class ProtocolParams:
     Gamma: int
     beta: int
     Cbar: codes.LinearCode
-    Ctilde: Optional[codes.LinearCode]  # None in a session_plan
-    Cprime: Optional[dict]  # file index -> punctured storage code on coords
+    Ctilde: codes.LinearCode  # retrieval code (sum_i C'_i) o Cbar
+    Cprime: dict  # file index -> punctured storage code on coords
     cached: list  # cached file indices, ascending
 
     @property
@@ -115,8 +115,8 @@ def plan_protocol(cache: EncodedCache, T: int, n: int,
 @dataclass(slots=True)
 class ErasureMatrix:
     Ehat: list  # d rows of n bits
-    J: Optional[list]  # row supports, each a list of Gamma coordinates
-    I_sets: Optional[list]  # beta information sets of C'_max, each size k_max
+    J: list  # row supports, each a list of Gamma coordinates
+    I_sets: list  # beta information sets of C'_max, each size k_max
     F_sets: list  # per coordinate l, sorted list of stripes m with l in I_m
     D: np.ndarray  # d x Gamma x n, D_j = H_J^{-1} H (uint16, as plans are kept)
     decoders: dict  # storage code -> its _stripe_decoder
@@ -166,13 +166,6 @@ def _stripe_decoder(code: codes.LinearCode, I_sets: list, coords: list,
             raise ValueError("constructed set is not an information set")
         E.append([r[k:] for r in R])
     return np.array(E, np.uint16)
-
-
-def session_plan(params: ProtocolParams) -> tuple:
-    """(params, erasure matrix) to keep for sessions: without Ctilde,
-    Cprime, J and {I_m}, which only planning and its checks read."""
-    em = build_erasure_matrix(params)
-    return replace(params, Ctilde=None, Cprime=None), replace(em, J=None, I_sets=None)
 
 
 def build_information_sets(Ehat: list, beta: int, n: int, d: int):
@@ -259,9 +252,10 @@ def generate_queries(params: ProtocolParams, em: ErasureMatrix,
         raise ValueError("requested file is not cached")
     iota = params.cached.index(file_index)
     q = params.base_field.order
-    msgs = [[int(rng.integers(q)) for _ in range(params.Cbar.k)]
-            for _ in range(params.d * params.width)]
-    # all d*width blinding codewords as one product with Cbar's generator
+    # all d*width blinding messages in one draw (the same values and rng
+    # state as one bounded draw per element), and their codewords as one
+    # product with Cbar's generator
+    msgs = rng.integers(q, size=(params.d * params.width, params.Cbar.k))
     words = gf.matmul(q, msgs, np.asarray(params.Cbar.G, np.intp))
     codewords = words.reshape(params.d, params.width, params.n).tolist()
     return _queries_from_codewords(params, em, iota, codewords)

@@ -8,7 +8,7 @@ number types are supplied, so exact Fractions flow through untouched.
 Conventions:
 * a file with mu_i = 0 is not cached and costs a full file from the MBS;
 * gamma mass at b > n behaves like b = n (extra SBSs beyond the n protocol
-  coordinates are not contacted), which is the gamma-tilde tail absorption.
+  coordinates are not contacted): the tail above n is absorbed at b = n.
 """
 
 from __future__ import annotations
@@ -129,12 +129,3 @@ def weighted_rate(R_pir, D_pir, theta) -> object:
     if not 0 <= theta <= 1:
         raise ValueError("theta must lie in [0, 1]")
     return R_pir + theta * D_pir
-
-
-def gamma_tilde(gamma, n: int) -> list:
-    """Cap the in-range count at n: gamma_tilde_b = gamma_b for b < n and
-    the whole tail mass at b = n."""
-    g = _gamma_list(gamma)
-    out = [g[b] if b < len(g) else 0 for b in range(n)]
-    out.append(sum(g[n:]))
-    return out

@@ -47,10 +47,12 @@ class Network:
         return int(rng.choice(len(self.gamma), p=self.gamma))
 
     def plan(self, T: int, n: int, coords: Sequence[int]) -> tuple:
-        """pirproto.session_plan for a session on these coordinates."""
+        """(protocol parameters, erasure matrix) for a session on these
+        coordinates."""
         key = (T, n, tuple(coords))
         if key not in self.plans:
-            self.plans[key] = pirproto.session_plan(pirproto.plan_protocol(self.cache, *key))
+            params = pirproto.plan_protocol(self.cache, *key)
+            self.plans[key] = params, pirproto.build_erasure_matrix(params)
         return self.plans[key]
 
     def column(self, c: int) -> np.ndarray:
@@ -188,31 +190,3 @@ def monte_carlo(network: Network, T: int, n: int, trials: int, rng,
         "trials": trials,
         "full_sessions": min(full_sessions, trials),
     }
-
-
-def spy_coalition(network: Network, T: int, n: int, coalition: Sequence[int],
-                  sessions: int, rng, sabotage: bool = False,
-                  level: float = 0.01) -> dict:
-    """Collect the queries seen by a coalition of spy SBSs across sessions
-    with uniformly chosen requested files, and run a chi-square test of
-    independence between the observed query pattern and the file index.
-
-    ``sabotage`` disables the blinding randomness (all-zero codewords),
-    which should be detected as a privacy failure.
-    """
-    params, em = network.plan(T, n, range(n))
-    coalition = sorted(coalition)
-    if not coalition:
-        return {"p_value": 1.0, "reject": False, "sessions": sessions}
-    zero = [[[0] * params.n for _ in range(params.width)]
-            for _ in range(params.d)]
-
-    def queries_for(iota):
-        if sabotage:
-            return pirproto._queries_from_codewords(params, em, iota, zero)
-        return pirproto.generate_queries(params, em, params.cached[iota], rng)
-
-    p_value = pirproto.chi2_view_test(params, coalition, sessions, rng,
-                                      queries_for)
-    return {"p_value": p_value, "reject": bool(p_value < level),
-            "sessions": sessions}

@@ -9,8 +9,7 @@ for two deployment models:
 * SBSs placed by a Poisson point process of density lambda, where the
   in-range count is Poisson with mean psi = lambda * pi * r_u^2.
 
-Also provides the Zipf popularity model and coverage sampling for the
-network simulator.
+Also provides the Zipf popularity model.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ class GridModel:
     D: float        # macro-cell radius (m)
     spacing: float  # inter-SBS distance (m)
     r: float        # SBS communication radius (m)
-    phi: float = 1.0  # user density; cancels in gamma, kept for fidelity
 
     def __post_init__(self):
         if not all(math.isfinite(x) for x in (self.D, self.spacing, self.r)):
@@ -137,7 +135,7 @@ def _in_range(model: GridModel, ux, uy):
     """Yield, per ``model._lattice`` stencil offset, the flat position in
     its index table of the lattice point at that offset from each user's
     nearest lattice point, and which of them are SBSs in range of the user.
-    ux and uy are arrays of users or one user's floats.  Every in-range SBS
+    ux and uy are arrays of users.  Every in-range SBS
     turns up at exactly one offset, and the cost is O(len(ux) * len(stencil))
     whatever the SBS count."""
     m, w, index, exists, stencil = model._lattice
@@ -188,7 +186,7 @@ class PppModel:
         return self.lam * math.pi * self.r_u ** 2
 
 
-def ppp_gamma(model: PppModel, cutoff: int | None = None) -> CoverageDistribution:
+def ppp_gamma(model: PppModel) -> CoverageDistribution:
     """Poisson pmf with mean psi, truncated where the tail mass drops below
     1e-9 and renormalized."""
     psi = model.psi
@@ -198,41 +196,14 @@ def ppp_gamma(model: PppModel, cutoff: int | None = None) -> CoverageDistributio
     def pmf(b: int) -> float:  # log space: psi^b and b! overflow from psi = 89
         return math.exp(b * math.log(psi) - psi - math.lgamma(b + 1)) if psi else float(b == 0)
 
-    if cutoff is None:
-        cutoff = 1
-        while pmf(cutoff) > 1e-12 or cutoff < psi:
-            cutoff += 1
-            if cutoff > 10000:
-                break
+    cutoff = 1
+    while pmf(cutoff) > 1e-12 or cutoff < psi:
+        cutoff += 1
+        if cutoff > 10000:
+            break
     probs = [pmf(b) for b in range(cutoff + 1)]
     tail = 1.0 - sum(probs)
     if tail > 1e-9:
-        raise ValueError("cutoff leaves too much tail mass")
+        raise ValueError(f"psi = {psi:g} leaves tail mass {tail:.3g} above b = {cutoff}")
     s = sum(probs)
     return CoverageDistribution([x / s for x in probs])
-
-
-def sample_coverage(model, rng) -> tuple[tuple[float, float], list[int]]:
-    """Sample a user position and the indices of in-range SBSs.
-
-    For grid models the SBS lattice is fixed and the user is uniform in the
-    disc.  For PPP models the SBSs are redrawn each call in a square window
-    extending r_u beyond the user's possible positions.
-    """
-    if isinstance(model, GridModel):
-        rad = model.D * math.sqrt(rng.random())
-        ang = 2 * math.pi * rng.random()
-        ux, uy = rad * math.cos(ang), rad * math.sin(ang)
-        index = model._lattice[2].ravel()
-        return (ux, uy), sorted(int(index[at]) for at, hit in _in_range(model, ux, uy) if hit)
-    if isinstance(model, PppModel):
-        # user at the origin; window of half-width r_u guarantees every SBS
-        # that could be in range is realized
-        half = model.r_u
-        area = (2 * half) ** 2
-        count = rng.poisson(model.lam * area)
-        xs = rng.uniform(-half, half, count)
-        ys = rng.uniform(-half, half, count)
-        d2 = xs ** 2 + ys ** 2
-        return (0.0, 0.0), [int(i) for i in np.flatnonzero(d2 <= model.r_u ** 2)]
-    raise TypeError(f"unknown topology model {type(model).__name__}")

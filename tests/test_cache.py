@@ -27,6 +27,19 @@ def ref_from_digits(digits, q):
     return x
 
 
+def ref_pack_stripe(bits, k):
+    """Split a (padded) stripe into k packets and read each big-endian as
+    the int of a symbol."""
+    size = len(bits) // k
+    return [int("".join(map(str, bits[j * size:(j + 1) * size])), 2) for j in range(k)]
+
+
+def ref_random_library(rng, F, beta, L):
+    """Random library bits drawn one bit per call."""
+    return [[[int(rng.integers(2)) for _ in range(L)] for _ in range(beta)]
+            for _ in range(F)]
+
+
 def example_cache():
     lib = cache.FileLibrary([[[1, 0, 0, 1, 1]], [[0, 1, 1, 0, 1]]], 5,
                             [0.5, 0.5])
@@ -98,12 +111,15 @@ def test_scheme_constraints():
 def test_pack_stripe_example_shapes():
     scheme = cache.CachingScheme(6, 6, [Fraction(1), Fraction(1, 5)], q=2)
     assert cache.packing_params(scheme, 5) == (5, {0: 5, 1: 1}, 0)
-    assert cache.pack_stripe([1, 0, 0, 1, 1], 1) == [0b10011]
-    assert cache.pack_stripe([1, 0, 0, 1, 1], 5) == [1, 0, 0, 1, 1]
+    enc = cache.EncodedCache(cache.FileLibrary([[[1, 0, 0, 1, 1]]] * 2, 5, [0.5, 0.5]),
+                             scheme)
+    assert enc.messages == {0: [[0b10011]], 1: [[1, 0, 0, 1, 1]]}
 
 
 def test_pack_zero_bits():
-    assert cache.pack_stripe([0] * 6, 3) == [0, 0, 0]
+    scheme = cache.CachingScheme(4, 1, [Fraction(1, 3)], q=2)
+    enc = cache.EncodedCache(cache.FileLibrary([[[0] * 6]], 6, [1.0]), scheme)
+    assert enc.messages == {0: [[0, 0, 0]]} and enc.symbols == {0: [[0] * 4]}
 
 
 def test_pack_unpack_roundtrip_with_padding():
@@ -114,7 +130,9 @@ def test_pack_unpack_roundtrip_with_padding():
         symbol_bits = deltas[0] * gf.field_degree(q)
         assert symbol_bits * k == L + pad
         bits = [int(rng.integers(2)) for _ in range(L)]
-        packed = cache.pack_stripe(bits + [0] * pad, k)
+        packed = cache.EncodedCache(cache.FileLibrary([[bits]], L, [1.0]),
+                                    scheme).messages[0][0]
+        assert packed == ref_pack_stripe(bits + [0] * pad, k)
         assert all(0 <= s < q ** deltas[0] for s in packed)
         assert gf.ints_to_bits(packed, symbol_bits).reshape(-1)[:L].tolist() == bits
 
@@ -263,8 +281,8 @@ def test_files_of_one_rate_share_one_storage_code(tmp_path):
 
 def test_encoding_matches_stripe_by_stripe_reference():
     """The array encoder against packing and encoding one stripe at a time
-    with pack_stripe, scalar digits and LinearCode.encode, multi-rate with
-    padding."""
+    with the reference packer, scalar digits and LinearCode.encode,
+    multi-rate with padding."""
     mu = [Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(0), Fraction(1, 4)]
     lib = cache.FileLibrary.random(5, 3, 21, [0.2] * 5, np.random.default_rng(8))
     enc = cache.EncodedCache(lib, cache.CachingScheme(7, 2, mu, q=8))
@@ -272,10 +290,21 @@ def test_encoding_matches_stripe_by_stripe_reference():
     for i in enc.scheme.cached_files():
         k, delta = enc.scheme.k[i], enc.deltas[i]
         for a, stripe in enumerate(lib.files[i]):
-            msg = cache.pack_stripe(stripe + [0] * enc.pad_bits, k)
+            msg = ref_pack_stripe(stripe + [0] * enc.pad_bits, k)
             assert enc.messages[i][a] == msg
             per_digit = [enc.codes[i].encode([ref_to_digits(x, q, delta)[e] for x in msg])
                          for e in range(delta)]
             word = [ref_from_digits([per_digit[e][j] for e in range(delta)], q)
                     for j in range(7)]
             assert enc.symbols[i][a] == word
+
+
+@pytest.mark.parametrize("shape", [(20, 6, 1024), (3, 1, 5), (7, 3, 13)])
+def test_random_library_matches_per_bit_draws(shape):
+    """FileLibrary.random's one array draw gives the bits that one draw
+    per bit gives, and leaves the rng in the same state."""
+    for seed in range(3):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        lib = cache.FileLibrary.random(*shape, [1 / shape[0]] * shape[0], rng)
+        assert lib.files == ref_random_library(ref, *shape)
+        assert rng.integers(1 << 16, size=4).tolist() == ref.integers(1 << 16, size=4).tolist()

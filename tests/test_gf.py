@@ -293,7 +293,7 @@ def test_gf4_default_is_x2_x_1():
 
 @pytest.mark.parametrize("F", SMALL_FIELDS, ids=repr)
 def test_field_axioms_exhaustive(F):
-    els = list(F.elements())
+    els = list(range(F.order))
     if F.order > 16:
         rnd = random.Random(0)
         els = [0, 1] + [rnd.randrange(F.order) for _ in range(6)]
@@ -405,8 +405,8 @@ def test_ext_field_accepts_exactly_the_irreducible_moduli(m):
             ref = RefField(modulus)
             top = F.order - 1  # every coefficient set
             assert all(F.mul(a, F.inv(a)) == 1 for a in range(1, F.order))
-            assert [F.mul(top, b) for b in F.elements()] \
-                == [ref.mul(top, b) for b in F.elements()]
+            assert [F.mul(top, b) for b in range(F.order)] \
+                == [ref.mul(top, b) for b in range(F.order)]
         else:
             with pytest.raises(ValueError, match="reducible"):
                 gf.ExtField(m, modulus=modulus)

@@ -370,20 +370,22 @@ def test_privacy_statistical_mode():
 
 
 def test_chi2_view_test_serves_both_privacy_checks():
-    """verify_privacy's statistical mode and simnet.spy_coalition run the
-    same chi-square routine on the same sampled sessions."""
-    from edgepir import simnet
-
-    enc, params, em = example_instance()
+    """The one chi-square routine gives verify_privacy's statistical
+    p-value on the same sampled sessions, and rejects queries built from
+    all-zero blinding codewords, whose view determines the file."""
+    _, params, em = example_instance()
     rng = np.random.default_rng(4)
     direct = pirproto.chi2_view_test(
         params, [3], 500, rng,
         lambda iota: pirproto.generate_queries(params, em, params.cached[iota], rng))
     rep = pirproto.verify_privacy(params, em, [3], mode="statistical",
                                   sessions=500, rng=np.random.default_rng(4))
-    spy = simnet.spy_coalition(simnet.Network(enc, [0.0] * 6 + [1.0]), 1, 6,
-                               [3], sessions=500, rng=np.random.default_rng(4))
-    assert direct == rep["p_value"] == spy["p_value"]
+    assert direct == rep["p_value"] and not rep["reject"]
+    zero = [[[0] * params.n for _ in range(params.width)] for _ in range(params.d)]
+    sabotaged = pirproto.chi2_view_test(
+        params, [0], 400, np.random.default_rng(8),
+        lambda iota: pirproto._queries_from_codewords(params, em, iota, zero))
+    assert sabotaged < 1e-6
 
 
 @pytest.mark.parametrize("damage", ["short", "missing"])

@@ -139,13 +139,6 @@ def test_weighted_rate():
         rates.weighted_rate(1, 1, 1.5)
 
 
-def test_gamma_tilde():
-    g = [0.1, 0.2, 0.3, 0.4]
-    assert rates.gamma_tilde(g, 2) == [0.1, 0.2, pytest.approx(0.7)]
-    assert rates.gamma_tilde(g, 6) == [0.1, 0.2, 0.3, 0.4, 0, 0, 0]
-    assert sum(rates.gamma_tilde(g, 3)) == pytest.approx(1.0)
-
-
 def test_accepts_coverage_distribution_objects():
     cd = CoverageDistribution([0.0, 0.0, 1.0])
     assert rates.backhaul_nopir([1.0], [Fraction(1, 2)], cd) == 0

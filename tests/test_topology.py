@@ -190,30 +190,55 @@ def test_ppp_gamma_zero_density():
     assert cd.gamma[0] == 1.0 and cd.N_max == 0
 
 
+def disc_users(model, rng, size):
+    """x and y arrays of users uniform over the macro-cell disc."""
+    rad = model.D * np.sqrt(rng.random(size))
+    ang = 2 * np.pi * rng.random(size)
+    return rad * np.cos(ang), rad * np.sin(ang)
+
+
+def stencil_hits(model, ux, uy):
+    """Per user, the sbs_positions() indices that topology._in_range finds
+    in range, ascending."""
+    index = model._lattice[2].ravel()
+    hits = [[] for _ in ux]
+    for at, hit in topology._in_range(model, ux, uy):
+        for u in np.flatnonzero(hit):
+            hits[u].append(int(index[at[u]]))
+    return [sorted(h) for h in hits]
+
+
 def test_sample_coverage_grid_agrees_with_gamma():
+    """grid_gamma against in-range counts from the distance of sampled
+    users to every SBS."""
     m = topology.GridModel(D=200.0, spacing=80.0, r=80.0)
     cd = topology.grid_gamma(m, mc_samples=400000, seed=1)
-    rng = np.random.default_rng(2)
+    pts = m.sbs_positions()
     trials = 20000
-    counts = {}
-    for _ in range(trials):
-        _, inrange = topology.sample_coverage(m, rng)
-        counts[len(inrange)] = counts.get(len(inrange), 0) + 1
-    for b, g in enumerate(cd.gamma):
-        obs = counts.get(b, 0) / trials
+    ux, uy = disc_users(m, np.random.default_rng(2), trials)
+    d2 = (ux[:, None] - pts[:, 0]) ** 2 + (uy[:, None] - pts[:, 1]) ** 2
+    counts = np.bincount((d2 <= m.r ** 2 + 1e-9).sum(axis=1), minlength=len(cd.gamma))
+    assert len(counts) == len(cd.gamma)
+    for g, c in zip(cd.gamma, counts):
+        obs = c / trials
         sigma = math.sqrt(max(g * (1 - g), 1e-12) / trials)
         assert abs(obs - g) <= max(4 * sigma, 1e-3)
 
 
 def test_sample_coverage_ppp_agrees_with_gamma():
+    """ppp_gamma against the in-range counts of a user at the origin of
+    sampled Poisson deployments, in a window that holds every SBS in
+    range."""
     model = topology.PppModel(lam=2e-4, r_u=60.0)
     cd = topology.ppp_gamma(model)
     rng = np.random.default_rng(4)
-    trials = 20000
+    trials, half = 20000, model.r_u
     counts = {}
     for _ in range(trials):
-        _, inrange = topology.sample_coverage(model, rng)
-        counts[len(inrange)] = counts.get(len(inrange), 0) + 1
+        count = rng.poisson(model.lam * (2 * half) ** 2)
+        xs, ys = rng.uniform(-half, half, count), rng.uniform(-half, half, count)
+        b = int((xs ** 2 + ys ** 2 <= model.r_u ** 2).sum())
+        counts[b] = counts.get(b, 0) + 1
     for b in range(6):
         g = cd.gamma[b]
         obs = counts.get(b, 0) / trials
@@ -224,32 +249,25 @@ def test_sample_coverage_ppp_agrees_with_gamma():
 def test_sample_coverage_indices_are_in_range():
     m = topology.GridModel(D=150.0, spacing=70.0, r=90.0)
     pts = m.sbs_positions()
-    rng = np.random.default_rng(6)
-    for _ in range(50):
-        (ux, uy), inrange = topology.sample_coverage(m, rng)
-        assert math.hypot(ux, uy) <= m.D + 1e-9
+    ux, uy = disc_users(m, np.random.default_rng(6), 50)
+    for x, y, inrange in zip(ux, uy, stencil_hits(m, ux, uy)):
+        assert math.hypot(x, y) <= m.D + 1e-9
         for i in range(len(pts)):
-            d = math.hypot(pts[i, 0] - ux, pts[i, 1] - uy)
+            d = math.hypot(pts[i, 0] - x, pts[i, 1] - y)
             assert (i in inrange) == (d <= m.r + 1e-9)
 
 
 @pytest.mark.parametrize("D,s,r", [(150.0, 70.0, 90.0), (200.0, 40.0, 59.6),
                                    (300.0, 7.0, 61.3)])
 def test_sample_coverage_equals_full_lattice_reference(D, s, r):
-    """The pruned stencil returns exactly the SBSs that pass the distance
-    test against every lattice point, in sbs_positions() order."""
+    """The pruned stencil that grid_gamma counts with finds exactly the
+    SBSs that pass the distance test against every lattice point."""
     m = topology.GridModel(D, s, r)
     pts = m.sbs_positions()
-    rng = np.random.default_rng(7)
-    for _ in range(300):
-        (ux, uy), inrange = topology.sample_coverage(m, rng)
-        hit = (ux - pts[:, 0]) ** 2 + (uy - pts[:, 1]) ** 2 <= r ** 2 + 1e-9
+    ux, uy = disc_users(m, np.random.default_rng(7), 300)
+    for x, y, inrange in zip(ux, uy, stencil_hits(m, ux, uy)):
+        hit = (x - pts[:, 0]) ** 2 + (y - pts[:, 1]) ** 2 <= r ** 2 + 1e-9
         assert inrange == np.flatnonzero(hit).tolist()
-
-
-def test_sample_coverage_rejects_unknown_model():
-    with pytest.raises(TypeError):
-        topology.sample_coverage(object(), np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("psi", [89.0, 90.0, 500.0])
