@@ -148,6 +148,19 @@ def test_monte_carlo_point_mass_exact():
     assert est["D_hat"] == pytest.approx(6 * 25 / 5)
 
 
+def test_spy_coalition_detects_sabotage():
+    """A spy SBS watching a network's sessions whose blinding codewords are
+    all zero sees queries that depend on the file: the chi-square test
+    rejects independence."""
+    net = example_network()
+    params, em = net.plan(1, 6, range(6))
+    zero = [[[0] * params.n for _ in range(params.width)] for _ in range(params.d)]
+    p_value = pirproto.chi2_view_test(
+        params, [0], 400, np.random.default_rng(8),
+        lambda iota: pirproto._queries_from_codewords(params, em, iota, zero))
+    assert p_value < 1e-6
+
+
 def test_plans_built_once_per_coordinate_list(monkeypatch):
     """Over 200 sessions on one network, plan_protocol runs once per
     distinct (T, n, coords), and every transcript equals the one a fresh
