@@ -161,7 +161,7 @@ def cmd_retrieve(args) -> int:
     if args.dump_transcript:
         dump = tr.summary()
         dump["coords"] = tr.coords
-        dump["queries"] = [[list(row) for row in Q] for Q in tr.queries.Q]
+        dump["queries"] = tr.queries.Q.tolist()
         dump["responses"] = tr.responses
         with open(args.dump_transcript, "w") as fh:
             json.dump(dump, fh, indent=2)
@@ -219,20 +219,22 @@ def cmd_sweep(args) -> int:
     sw = cfg["sweep"]
     T, _ = protocol(cfg)
     theta = cfg.get("scheme", {}).get("theta", 0.0)
-    axis = sw["axis"]
+    axis, values = sw["axis"], sw.get("values")
+    if axis not in ("M", "lambda"):
+        raise ConfigError("sweep axis must be 'M' or 'lambda'")
+    if not values:
+        step = sw.get("step", 1) if axis == "M" else sw["step"]
+        if not (sw["start"] <= sw["stop"] and step > 0):
+            raise ValueError("sweep needs start <= stop and step > 0")
     if axis == "M":
         gamma = build_gamma(cfg["topology"], args.seed)
-        Ms = sw.get("values") or list(range(*spec.check(  # integer bounds on this axis
-            [sw["start"], sw["stop"] + 1, sw.get("step", 1)], [int], path="sweep bounds")))
+        Ms = values or list(range(*spec.check(  # integer bounds on this axis
+            [sw["start"], sw["stop"] + 1, step], [int], path="sweep bounds")))
         rows = optimizer.sweep_cache_size(p, gamma, Ms, T, theta=theta)
-    elif axis == "lambda":
-        if not sw.get("values") and sw["step"] <= 0:
-            raise ValueError("sweep step must be positive")
-        lams = sw.get("values") or list(np.arange(sw["start"], sw["stop"] + sw["step"] / 2, sw["step"]))
+    else:
+        lams = values or list(np.arange(sw["start"], sw["stop"] + step / 2, step))
         rows = optimizer.sweep_density(p, cfg["scheme"]["M"], T, lams,
                                        cfg["topology"]["ppp"]["r_u"], theta=theta)
-    else:
-        raise ConfigError("sweep axis must be 'M' or 'lambda'")
     for r in rows:
         r["mu_star"] = str(r["mu_star"])
     if sw.get("transitions_only"):

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 from typing import Optional, Sequence
 
 import numpy as np
@@ -121,6 +121,7 @@ class ErasureMatrix:
     D: np.ndarray  # d x Gamma x n, D_j = H_J^{-1} H (uint16, as plans are kept)
     decoders: dict  # storage code -> its _stripe_decoder
     gather: Optional[np.ndarray] = None  # beta x k_max rows of the stacked D_j rho_j
+    units: Optional[np.ndarray] = None  # 3 x (d Gamma): (l, j, s) of every useful round
 
 
 def build_erasure_matrix(params: ProtocolParams) -> ErasureMatrix:
@@ -148,6 +149,7 @@ def build_erasure_matrix(params: ProtocolParams) -> ErasureMatrix:
     slot = {(s_assign[l, j], l): j * Gamma + t for j, row in enumerate(J)
             for t, l in enumerate(row)}
     em.gather = np.array([[slot[m, l] for l in sorted(I)] for m, I in enumerate(I_sets)])
+    em.units = np.array([(l, j, m) for (l, j), m in s_assign.items()]).T
     return em
 
 
@@ -197,11 +199,12 @@ def build_information_sets(Ehat: list, beta: int, n: int, d: int):
 
 @dataclass
 class QuerySet:
+    """Q[l] is coordinate l's d x width GF(q) query matrix: the l-th slice of
+    the blinding codewords, plus 1 at the plan's unit slots (l, j, beta*iota + s)."""
     file_index: int          # library index of the requested file
     iota: int                # position of the file among cached files
-    Q: list                  # n matrices, each d x width, over GF(q)
-    s_assign: dict           # (l, j) -> stripe index m for useful rounds
-    codewords: list          # d rows of beta*F_c blinding codewords
+    Q: np.ndarray            # n x d x width
+    codewords: np.ndarray    # d x width x n blinding codewords of Cbar
 
 
 def _s_assignment(em: ErasureMatrix, d: int, n: int) -> dict:
@@ -216,29 +219,20 @@ def _s_assignment(em: ErasureMatrix, d: int, n: int) -> dict:
 
 
 def _queries_from_codewords(params: ProtocolParams, em: ErasureMatrix,
-                            iota: int, codewords: list) -> QuerySet:
+                            iota: int, codewords) -> QuerySet:
     """Assemble query matrices from given blinding codewords.
 
-    ``codewords`` has d rows of beta*F_c length-n codewords of Cbar: each
-    subquery round blinds with its own codewords, so the joint distribution
-    of any T query matrices is uniform and carries no information about the
+    ``codewords`` is d x width length-n codewords of Cbar: each subquery
+    round blinds with its own codewords, so the joint distribution of any T
+    query matrices is uniform and carries no information about the
     requested file; reusing codewords across rounds would make row
     differences deterministic and leak the file index.
     """
-    F = params.base_field
-    d, n, beta, width = params.d, params.n, params.beta, params.width
-    s_assign = _s_assignment(em, d, n)
-    Q = []
-    for l in range(n):
-        rows = []
-        for j in range(d):
-            row = [codewords[j][t][l] for t in range(width)]
-            if em.Ehat[j][l]:
-                t = beta * iota + s_assign[(l, j)]
-                row[t] = F.add(row[t], 1)
-            rows.append(row)
-        Q.append(rows)
-    return QuerySet(params.cached[iota], iota, Q, s_assign, codewords)
+    codewords = np.asarray(codewords)
+    Q = codewords.transpose(2, 0, 1).copy()
+    l, j, s = em.units  # distinct triples, so each unit is added once
+    Q[l, j, params.beta * iota + s] ^= 1
+    return QuerySet(params.cached[iota], iota, Q, codewords)
 
 
 def generate_queries(params: ProtocolParams, em: ErasureMatrix,
@@ -257,18 +251,18 @@ def generate_queries(params: ProtocolParams, em: ErasureMatrix,
     # product with Cbar's generator
     msgs = rng.integers(q, size=(params.d * params.width, params.Cbar.k))
     words = gf.matmul(q, msgs, np.asarray(params.Cbar.G, np.intp))
-    codewords = words.reshape(params.d, params.width, params.n).tolist()
-    return _queries_from_codewords(params, em, iota, codewords)
+    return _queries_from_codewords(params, em, iota,
+                                   words.reshape(params.d, params.width, params.n))
 
 
-def respond(params: ProtocolParams, Q_l: list, column) -> list[int]:
-    """One coordinate's response: Q^(l) times its cache column (symbols,
-    or their ``big_field.digits``), one GF(q) product over its digits."""
-    big = params.big_field
-    if any(len(row) != len(column) for row in Q_l):
+def respond(params: ProtocolParams, Q_l: np.ndarray, column: np.ndarray) -> list[int]:
+    """One coordinate's response: its d x width query matrix Q^(l) times its
+    cache column as width x delta_max digits (``big_field.digits``), one
+    GF(q) product; the d subresponses are returned as symbols."""
+    if Q_l.shape[1] != column.shape[0]:
         raise ValueError("query width does not match cache column length")
-    digits = column if isinstance(column, np.ndarray) else big.digits(column)
-    return big.ints(gf.matmul(big.q, Q_l, digits))
+    big = params.big_field
+    return big.ints(gf.matmul(big.q, Q_l, column))
 
 
 def _dot(field, row: Sequence[int], col: Sequence[int]) -> int:
@@ -283,8 +277,9 @@ def _dot(field, row: Sequence[int], col: Sequence[int]) -> int:
 
 def collect_responses(params: ProtocolParams, queries: QuerySet,
                       columns: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Responses from all n coordinates given their cache columns."""
-    return [respond(params, queries.Q[l], columns[l]) for l in range(params.n)]
+    """Responses from all n coordinates given their cache columns of symbols."""
+    big = params.big_field
+    return [respond(params, queries.Q[l], big.digits(columns[l])) for l in range(params.n)]
 
 
 def recover(params: ProtocolParams, em: ErasureMatrix, queries: QuerySet,
@@ -319,8 +314,8 @@ def recover(params: ProtocolParams, em: ErasureMatrix, queries: QuerySet,
 # privacy verification
 # ---------------------------------------------------------------------------
 
-def _view(queries: QuerySet, coalition: Sequence[int]) -> tuple:
-    return tuple(tuple(tuple(row) for row in queries.Q[l]) for l in coalition)
+def _view(queries: QuerySet, coalition: Sequence[int]) -> bytes:
+    return queries.Q[coalition].tobytes()
 
 
 def verify_privacy(params: ProtocolParams, em: ErasureMatrix,
@@ -353,24 +348,20 @@ def _verify_exact(params: ProtocolParams, em: ErasureMatrix,
     space = q ** (params.Cbar.k * draws)
     if space > 1 << 20:
         raise ValueError("randomness space too large for exact enumeration")
-    msgs = list(product(range(q), repeat=params.Cbar.k))
-    encoded = [params.Cbar.encode(list(m)) for m in msgs]
+    msgs = np.array(list(product(range(q), repeat=params.Cbar.k)))
+    encoded = gf.matmul(q, msgs, np.asarray(params.Cbar.G, np.intp))
     dists = []
     for iota in range(len(params.cached)):
         counts: Counter = Counter()
-        for combo in product(encoded, repeat=draws):
-            codewords = [list(combo[j * params.width:(j + 1) * params.width])
-                         for j in range(params.d)]
+        for combo in product(range(len(encoded)), repeat=draws):
+            codewords = encoded[list(combo)].reshape(params.d, params.width, params.n)
             qs = _queries_from_codewords(params, em, iota, codewords)
             counts[_view(qs, coalition)] += 1
         dists.append({k: v / space for k, v in counts.items()})
     max_tv = 0.0
-    for a in range(len(dists)):
-        for b in range(a + 1, len(dists)):
-            keys = set(dists[a]) | set(dists[b])
-            tv = 0.5 * sum(abs(dists[a].get(k, 0.0) - dists[b].get(k, 0.0))
-                           for k in keys)
-            max_tv = max(max_tv, tv)
+    for A, B in combinations(dists, 2):
+        tv = 0.5 * sum(abs(A.get(k, 0.0) - B.get(k, 0.0)) for k in set(A) | set(B))
+        max_tv = max(max_tv, tv)
     return {"mode": "exact", "max_tv": max_tv, "private": max_tv == 0.0}
 
 
@@ -391,7 +382,9 @@ def chi2_view_test(params: ProtocolParams, coalition: Sequence[int],
     """p-value of a chi-square test of independence between a coalition's
     view and the requested file over ``sessions`` sessions, each querying a
     uniform cached position iota with ``queries_for(iota)``; 1.0 when a
-    single view or file was observed, which carries no information."""
+    single view or file was observed, which carries no information.  Raises
+    ValueError when sessions < 5 * files * distinct views: with each view
+    seen about once, chi-square is N (files - 1) whatever the queries are."""
     from scipy.stats import chi2_contingency
 
     n_files = len(params.cached)
@@ -401,6 +394,10 @@ def chi2_view_test(params: ProtocolParams, coalition: Sequence[int],
         iota = int(rng.integers(n_files))
         v = _view(queries_for(iota), coalition)
         counts[iota, view_ids.setdefault(v, len(view_ids))] += 1
+    need = 5 * n_files * len(view_ids)
+    if sessions < need:
+        raise ValueError(f"chi-square privacy test needs 5 x {n_files} files x "
+                         f"{len(view_ids)} distinct views = {need} sessions, got {sessions}")
     table = np.zeros((n_files, len(view_ids)))
     for (i, c), v in counts.items():
         table[i, c] = v

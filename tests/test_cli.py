@@ -6,7 +6,7 @@ from importlib import resources
 
 import pytest
 
-from edgepir import cache, cli, simnet, spec
+from edgepir import cache, cli, pirproto, simnet, spec
 
 
 def run(argv):
@@ -110,11 +110,64 @@ def test_sweep_lambda_preset_transitions(tmp_path):
     assert keys == [("", ""), ("4", "1"), ("3", "1"), ("2", "1")]
 
 
+@pytest.mark.parametrize("sweep", [
+    {"axis": "M", "start": 10, "stop": 30, "step": -10},
+    {"axis": "M", "start": 30, "stop": 10, "step": 10},
+    {"axis": "M", "start": 30, "stop": 10},
+    {"axis": "M", "start": 10, "stop": 30, "step": 0},
+    {"axis": "lambda", "start": 3e-4, "stop": 1e-5, "step": 1e-5},
+    {"axis": "lambda", "start": 1e-5, "stop": 3e-4, "step": 0},
+    {"axis": "lambda", "start": 1e-5, "stop": 3e-4, "step": -1e-5},
+], ids=["M-negative-step", "M-start-above-stop", "M-default-step-start-above-stop",
+        "M-zero-step", "lambda-start-above-stop", "lambda-zero-step", "lambda-negative-step"])
+def test_sweep_empty_range_exits_3(tmp_path, capsys, sweep):
+    """Bounds that give no sweep point are refused, not written as a
+    header-only table."""
+    cfg = {"library": {"F": 50, "alpha": 0.7},
+           "topology": GRID if sweep["axis"] == "M" else {"ppp": {"lambda": 1e-4, "r_u": 60}},
+           "scheme": {"M": 20}, "protocol": {"T": 1}, "sweep": sweep}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run(["sweep", "--config", str(path)]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and \
+        out.err == "constraint violation: sweep needs start <= stop and step > 0\n"
+
+
 def test_verify_privacy_exact(capsys):
     assert run(["verify-privacy", "--preset", "fig2"]) == 0
     out = capsys.readouterr().out
     assert "privacy verified" in out
     assert out.count("max TV distance 0") == 6
+
+
+@pytest.mark.parametrize("leaky", [False, True], ids=["honest", "leaky"])
+def test_verify_privacy_statistical_refuses_uncovered_views(tmp_path, capsys, monkeypatch,
+                                                             leaky):
+    """On the multirate cache (q = 8, k in {1, 2}, T = 1) a spy's view takes
+    far more values than 5,000 sessions, so the chi-square test would pass
+    whatever the queries are; queries with round 0 left unblinded, whose
+    view names the file, are refused like honest ones, with one stderr
+    line and exit 3."""
+    if leaky:
+        honest = pirproto.generate_queries
+
+        def unblinded(params, em, file_index, rng):
+            qs = honest(params, em, file_index, rng)
+            qs.codewords[0] = 0
+            return pirproto._queries_from_codewords(params, em, qs.iota, qs.codewords)
+        monkeypatch.setattr(pirproto, "generate_queries", unblinded)
+    cfg = {"library": {"F": 8, "beta": 4, "L": 24, "popularity": [0.125] * 8},
+           "scheme": {"N_sbs": 6, "M": 4, "mu": ["1"] * 2 + ["1/2"] * 4 + ["0"] * 2, "q": 8},
+           "protocol": {"T": 1}, "privacy": {"mode": "statistical"}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run(["verify-privacy", "--config", str(path), "--trials", "5000"]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("constraint violation: chi-square privacy test needs 5 x 6 "
+                              "files x ") and out.err.endswith(" sessions, got 5000\n")
+    assert out.err.count("\n") == 1
 
 
 def test_simulate_command(tmp_path):

@@ -179,7 +179,7 @@ def test_example_query_structure_all_ones_codewords():
     qs = pirproto._queries_from_codewords(params, em, 0, cws)
     for l in range(6):
         row0 = qs.Q[l][0]
-        assert row0 == ([0, 1] if l == 0 else [1, 1])
+        assert row0.tolist() == ([0, 1] if l == 0 else [1, 1])
 
 
 def test_zero_codewords_give_pure_unit_vectors():
@@ -191,9 +191,9 @@ def test_zero_codewords_give_pure_unit_vectors():
         for j in range(params.d):
             row = qs.Q[l][j]
             if em.Ehat[j][l]:
-                assert row == [0, 1]  # unit vector in file 2's block
+                assert row.tolist() == [0, 1]  # unit vector in file 2's block
             else:
-                assert row == [0, 0]
+                assert row.tolist() == [0, 0]
 
 
 def test_s_assignment_distinct_within_coordinate():
@@ -215,8 +215,9 @@ def test_generate_queries_rejects_uncached():
 
 def test_zero_query_zero_response():
     enc, params, em = example_instance()
-    zeroQ = [[0, 0] for _ in range(params.d)]
-    assert pirproto.respond(params, zeroQ, enc.cache_column(0)) == [0] * params.d
+    zeroQ = np.zeros((params.d, 2), int)
+    column = params.big_field.digits(enc.cache_column(0))
+    assert pirproto.respond(params, zeroQ, column) == [0] * params.d
 
 
 def test_respond_linearity():
@@ -227,11 +228,10 @@ def test_respond_linearity():
     c1 = enc.cache_column(0)
     c2 = enc.cache_column(3)
     csum = [big.add(a, b) for a, b in zip(c1, c2)]
-    r1 = pirproto.respond(params, qs.Q[0], c1)
-    r2 = pirproto.respond(params, qs.Q[0], c2)
-    rs = pirproto.respond(params, qs.Q[0], csum)
+    r1 = pirproto.respond(params, qs.Q[0], big.digits(c1))
+    r2 = pirproto.respond(params, qs.Q[0], big.digits(c2))
+    rs = pirproto.respond(params, qs.Q[0], big.digits(csum))
     assert rs == [big.add(a, b) for a, b in zip(r1, r2)]
-    assert pirproto.respond(params, qs.Q[0], big.digits(c1)) == r1
 
 
 def test_example_rho_decomposition():
@@ -371,16 +371,18 @@ def test_privacy_statistical_mode():
 
 def test_chi2_view_test_serves_both_privacy_checks():
     """The one chi-square routine gives verify_privacy's statistical
-    p-value on the same sampled sessions, and rejects queries built from
+    p-value on the same sampled sessions (a coalition with 16 possible
+    views, which 500 sessions cover), and rejects queries built from
     all-zero blinding codewords, whose view determines the file."""
-    _, params, em = example_instance()
+    _, params, em = grs_instance(F=2, ks=(1, 1), T=2, n=3, beta=1, q=2, L=2, N=3)
     rng = np.random.default_rng(4)
     direct = pirproto.chi2_view_test(
-        params, [3], 500, rng,
+        params, [0, 2], 500, rng,
         lambda iota: pirproto.generate_queries(params, em, params.cached[iota], rng))
-    rep = pirproto.verify_privacy(params, em, [3], mode="statistical",
+    rep = pirproto.verify_privacy(params, em, [0, 2], mode="statistical",
                                   sessions=500, rng=np.random.default_rng(4))
     assert direct == rep["p_value"] and not rep["reject"]
+    _, params, em = example_instance()
     zero = [[[0] * params.n for _ in range(params.width)] for _ in range(params.d)]
     sabotaged = pirproto.chi2_view_test(
         params, [0], 400, np.random.default_rng(8),
@@ -436,6 +438,7 @@ def reference_recover(params, em, queries, responses):
         rho = big.digits([s for r in responses for s in r]).reshape(params.n, params.d, -1)
     except ValueError as e:
         raise ProtocolError(f"malformed response: {e}")
+    s_assign = pirproto._s_assignment(em, params.d, params.n)
     recovered = {}  # (stripe m, coord l) -> digits
     for j in range(params.d):
         syndrome = gf.matmul(big.q, H, rho[:, j]).tolist()
@@ -445,7 +448,7 @@ def reference_recover(params, em, queries, responses):
         if pivots != list(range(Gamma)):
             raise ProtocolError("inconsistent responses: corrupted subresponse")
         for l, row in zip(support, R):
-            recovered[(queries.s_assign[(l, j)], l)] = row[Gamma:]
+            recovered[(s_assign[(l, j)], l)] = row[Gamma:]
     code, delta = params.cache.codes[i], params.cache.deltas[i]
     symbol_bits = delta * params.base_field.degree
     stripes_bits = []
@@ -481,6 +484,43 @@ def multirate_cache():
     mu = [Fraction(1)] * 2 + [Fraction(1, 2)] * 4 + [Fraction(0)] * 2
     lib = cache.FileLibrary.random(8, 4, 24, [1 / 8] * 8, np.random.default_rng(0))
     return cache.EncodedCache(lib, cache.CachingScheme(6, sum(mu), mu, q=8))
+
+
+def reference_queries(params, em, iota, codewords):
+    """The per-entry loop that the array builder replaced, kept as its
+    reference: Q[l][j][t] = codewords[j][t][l], plus 1 at t = beta*iota + s
+    on every round j whose erasure-matrix row covers l."""
+    F = params.base_field
+    s_assign = pirproto._s_assignment(em, params.d, params.n)
+    Q = []
+    for l in range(params.n):
+        rows = []
+        for j in range(params.d):
+            row = [codewords[j][t][l] for t in range(params.width)]
+            if em.Ehat[j][l]:
+                t = params.beta * iota + s_assign[(l, j)]
+                row[t] = F.add(row[t], 1)
+            rows.append(row)
+        Q.append(rows)
+    return Q
+
+
+@pytest.mark.parametrize("make_cache,T", [(fig2_cache, 1), (medium_cache, 2),
+                                          (multirate_cache, 1)])
+def test_queries_match_reference_builder(make_cache, T):
+    """For every requested position and random blinding codewords, Q equals
+    the reference's; the plan's unit slots (l, j, s) are beta*k_max
+    pairwise distinct triples, as fancy-index XOR adds a repeated one once."""
+    enc = make_cache()
+    params = pirproto.plan_protocol(enc, T, enc.scheme.N_sbs)
+    em = pirproto.build_erasure_matrix(params)
+    assert len(set(zip(*em.units.tolist()))) == em.units.shape[1] == \
+        params.beta * enc.scheme.k_max
+    rng = np.random.default_rng(3)
+    for iota in range(len(params.cached)):
+        cws = rng.integers(params.base_field.order, size=(params.d, params.width, params.n))
+        qs = pirproto._queries_from_codewords(params, em, iota, cws)
+        assert qs.Q.tolist() == reference_queries(params, em, iota, cws.tolist())
 
 
 def outcome(recover, params, em, qs, resp):
