@@ -187,7 +187,7 @@ class EncodedCache:
             # every stripe codeword of these files in one GF(q) product:
             # (N_sbs x k) times (k x files*beta*delta) digits
             digits = gf.bit_digits(packets, m).transpose(2, 0, 1, 3).reshape(k, -1)
-            words = gf.matmul(scheme.q, np.transpose(self.codes[files[0]].G), digits)
+            words = gf.matmul(scheme.q, self.codes[files[0]].G.T, digits)
             words = words.reshape(N, len(files), beta, delta).transpose(1, 2, 0, 3)
             for i, msg, word in zip(files, gf.bits_to_ints(packets),
                                     gf.digit_ints(words, scheme.q)):

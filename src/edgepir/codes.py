@@ -6,46 +6,72 @@ parity-check pair, which is MDS but not GRS since n > q-1), puncturing,
 Hadamard product and sum codes, information sets, erasure-pattern
 correctability, and erasure decoding.
 
-Codewords and matrices are lists of field-element ints as in
-:mod:`edgepir.gf`; the decoders also take symbols of several GF(q) digits,
-one right-hand side per digit.  Coordinates are 0-based throughout.
+Generator and parity-check matrices are 2-D integer arrays of GF(q)
+elements, as in :mod:`edgepir.gf`.  Messages and codewords are lists of
+field-element ints; the decoders also take symbols of several GF(q)
+digits, one right-hand side per digit.  Coordinates are 0-based throughout.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import gf
 from .gf import Field
+
+
+def _field_array(field: Field, values, what: str) -> np.ndarray:
+    """``values`` as an intp array; ValueError naming the problem if they
+    are ragged or hold an entry that is not an element of the field."""
+    try:
+        A = np.asarray(values)
+    except ValueError:  # numpy refuses ragged nesting
+        raise ValueError(f"{what} is ragged") from None
+    if A.size and (A.dtype.kind not in "iu" or A.min() < 0 or A.max() >= field.order):
+        raise ValueError(f"{what} has an entry not in GF({field.order})")
+    return A.astype(np.intp)
 
 
 class LinearCode:
     """An (n, k) linear code over a field, held by its generator matrix.
 
-    The parity-check matrix H is computed from the null space of G and
-    satisfies G Ht = 0.  ``mds`` is True when the code is known to be
-    maximum distance separable (every code :func:`mds_code` builds, and
-    their punctures), else None: nothing checks a generic generator.
+    G is a k x n array and the parity-check matrix H, computed from the
+    null space of G, is (n - k) x n with G Ht = 0.  ``mds`` is True when
+    the code is known to be maximum distance separable (every code
+    :func:`mds_code` builds, and their punctures), else None: nothing
+    checks a generic generator.
     """
 
-    def __init__(self, field: Field, G: list, mds: Optional[bool] = None):
+    def __init__(self, field: Field, G, mds: Optional[bool] = None):
         self.field = field
-        self.n = len(G[0])
-        self.k = len(G)
-        self.G = [list(r) for r in G]
+        self.G = _field_array(field, G, "generator matrix")
+        if not self.G.size:
+            raise ValueError("generator matrix is empty")
+        if self.G.ndim != 2:
+            raise ValueError("generator matrix must be 2-D: k rows of n entries")
+        self.k, self.n = self.G.shape
         # one elimination: G has rank n minus its null space's dimension
         self.H = gf.null_space(field, self.G)
         if self.n - len(self.H) != self.k:
             raise ValueError("generator matrix is rank deficient")
         self.mds = mds
 
+    def _vector(self, values: Sequence[int], what: str, length: int) -> np.ndarray:
+        """``values`` as a length x 1 column; ValueError for a wrong length
+        or an entry not in the field."""
+        x = _field_array(self.field, values, what)
+        if x.shape != (length,):
+            raise ValueError(f"{what} must be {length} field elements")
+        return x[:, None]
+
     def encode(self, message: Sequence[int]) -> list[int]:
-        if len(message) != self.k:
-            raise ValueError("message length must equal k")
-        return gf.mat_vec(self.field, _transpose(self.G), message)
+        x = self._vector(message, "message", self.k)
+        return gf.matmul(self.field.order, self.G.T, x)[:, 0].tolist()
 
     def contains(self, word: Sequence[int]) -> bool:
-        return all(v == 0 for v in gf.mat_vec(self.field, self.H, word)) if self.H else True
+        return not gf.matmul(self.field.order, self.H, self._vector(word, "word", self.n)).any()
 
     def __repr__(self) -> str:
         return f"LinearCode(n={self.n}, k={self.k}, field={self.field})"
@@ -123,44 +149,37 @@ def puncture(code: LinearCode, keep_coords: Sequence[int]) -> LinearCode:
         raise ValueError("coordinate out of range")
     if len(keep) < code.k:
         raise ValueError("puncturing below dimension k loses information")
-    G = [[row[c] for c in keep] for row in code.G]
     if isinstance(code, GrsCode):
         return GrsCode(code.field, len(keep), code.k, [code.kappa[c] for c in keep])
-    return LinearCode(code.field, G, mds=code.mds)  # puncturing keeps MDS codes MDS
+    return LinearCode(code.field, code.G[:, keep], mds=code.mds)  # puncturing keeps MDS codes MDS
 
 
-def _transpose(A: list) -> list:
-    return [list(col) for col in zip(*A)]
-
-
-def _row_basis(field: Field, rows: list) -> list:
+def _row_basis(field: Field, rows: np.ndarray) -> np.ndarray:
     R, pivots = gf.rref(field, rows)
-    return [R[i] for i in range(len(pivots))]
+    return R[:len(pivots)]
 
 
 def hadamard(codeA: LinearCode, codeB: LinearCode) -> LinearCode:
     """Span of all element-wise products of codewords of A and B."""
     if codeA.n != codeB.n or codeA.field != codeB.field:
         raise ValueError("codes must share length and field")
-    F = codeA.field
-    rows = [[F.mul(a, b) for a, b in zip(ra, rb)]
-            for ra in codeA.G for rb in codeB.G]
-    basis = _row_basis(F, rows)
-    return LinearCode(F, basis)
+    log, exp = gf._log_exp(codeA.field.order)
+    # row a of A times row b of B is row (a, b), in one log/antilog lookup
+    rows = exp[log[codeA.G][:, None] + log[codeB.G]].reshape(-1, codeA.n)
+    return LinearCode(codeA.field, _row_basis(codeA.field, rows))
 
 
 def sum_code(codeA: LinearCode, codeB: LinearCode) -> LinearCode:
     if codeA.n != codeB.n or codeA.field != codeB.field:
         raise ValueError("codes must share length and field")
-    basis = _row_basis(codeA.field, codeA.G + codeB.G)
+    basis = _row_basis(codeA.field, np.vstack([codeA.G, codeB.G]))
     return LinearCode(codeA.field, basis)
 
 
 def is_information_set(code: LinearCode, I: Sequence[int]) -> bool:
     if len(I) != code.k:
         raise ValueError("information set must have size k")
-    sub = [[row[c] for c in I] for row in code.G]
-    return gf.rank(code.field, sub) == code.k
+    return gf.rank(code.field, code.G[:, list(I)]) == code.k
 
 
 def correctable(code: LinearCode, pattern: Sequence[int]) -> bool:
@@ -169,12 +188,7 @@ def correctable(code: LinearCode, pattern: Sequence[int]) -> bool:
     if len(pattern) != code.n:
         raise ValueError("pattern length must equal n")
     chi = [j for j, e in enumerate(pattern) if e]
-    if not chi:
-        return True
-    if not code.H:
-        return False
-    sub = [[row[c] for c in chi] for row in code.H]
-    return gf.rank(code.field, sub) == len(chi)
+    return gf.rank(code.field, code.H[:, chi]) == len(chi)
 
 
 def solve_message(code: LinearCode, word: Sequence[Optional[int]]) -> list[int]:
@@ -188,15 +202,14 @@ def solve_message(code: LinearCode, word: Sequence[Optional[int]]) -> list[int]:
     q = code.field.order
     known = [j for j, w in enumerate(word) if w is not None]
     values = [word[c] for c in known]
-    digits = gf.digit_array(values, q, gf.digit_count(values, q)).tolist()
+    digits = gf.digit_array(values, q, gf.digit_count(values, q))
     # (G|_known)^T m = word|_known, augmented with one column per digit
-    aug = [[row[c] for row in code.G] + d for c, d in zip(known, digits)]
-    R, pivots = gf.rref(code.field, aug)
+    R, pivots = gf.rref(code.field, np.hstack([code.G[:, known].T, digits]))
     if pivots and pivots[-1] >= code.k:
         raise ValueError("received symbols are not consistent with the code")
     if len(pivots) < code.k:
         raise ValueError("erasure pattern not decodable: no information set survives")
-    return gf.digit_ints([R[i][code.k:] for i in range(code.k)], q)
+    return gf.digit_ints(R[:code.k, code.k:], q)
 
 
 def erasure_decode(code: LinearCode, word: Sequence[Optional[int]]) -> list[int]:
@@ -205,7 +218,7 @@ def erasure_decode(code: LinearCode, word: Sequence[Optional[int]]) -> list[int]
     q = code.field.order
     msg = solve_message(code, word)
     digits = gf.digit_array(msg, q, gf.digit_count(msg, q))
-    return gf.digit_ints(gf.matmul(q, _transpose(code.G), digits), q)
+    return gf.digit_ints(gf.matmul(q, code.G.T, digits), q)
 
 
 def dual_min_distance(code: LinearCode) -> int:

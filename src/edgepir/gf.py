@@ -21,9 +21,10 @@ matrix into digit arrays with the field's log/antilog tables.  A symbol's
 big-endian bits are its digits' m-bit groups, so whole arrays of symbols
 convert to digits through bytes (:func:`digit_array`, :func:`digit_ints`).
 
-Dense linear algebra (rank / solve / null space) is provided as module
-functions operating on lists of rows of ints; the field supplies the row
-operations its elimination needs (``scaled``, ``sub_scaled``).
+A GF(q) matrix is a 2-D integer array of field elements.  Dense linear
+algebra (:func:`rref`, rank, solve, null space) takes and returns such
+arrays; elimination does one array row operation per pivot with the same
+log/antilog tables as :func:`matmul`.
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ from math import prod
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-
-Matrix = list  # list[list[int]]; rows of field-element ints
 
 
 # Defining polynomials of GF(2^m), m = 1..16, as ints (bit j is the
@@ -135,22 +134,6 @@ class ExtField:
         if self._mul_tab is not None:
             return self._mul_tab[a][b]
         return self._exp[self._log[a] + self._log[b]]
-
-    def scaled(self, c: int, y: Sequence[int]) -> list[int]:
-        """The row c y, for a non-zero scalar c."""
-        if self._mul_tab is not None:
-            t = self._mul_tab[c]
-            return [t[w] for w in y]
-        log, exp, lc = self._log, self._exp, self._log[c]
-        return [exp[lc + log[w]] for w in y]
-
-    def sub_scaled(self, x: Sequence[int], c: int, y: Sequence[int]) -> list[int]:
-        """The row x - c y, for a non-zero scalar c."""
-        if self._mul_tab is not None:
-            t = self._mul_tab[c]
-            return [v ^ t[w] for v, w in zip(x, y)]
-        log, exp, lc = self._log, self._exp, self._log[c]
-        return [v ^ exp[lc + log[w]] for v, w in zip(x, y)]
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -324,65 +307,59 @@ class NoSolution(ValueError):
     """Raised by solve() when the system is inconsistent."""
 
 
-def mat_vec(F: Field, A: Matrix, x: Sequence[int]) -> list[int]:
+def mat_vec(F: Field, A, x: Sequence[int]) -> list[int]:
     """A x over F."""
-    return matmul(F.order, A, np.array(x)[:, None])[:, 0].tolist()
+    return matmul(F.order, A, np.array(x, np.intp)[:, None])[:, 0].tolist()
 
 
-def rref(F: Field, A: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (R, pivot column indices)."""
-    R = [list(r) for r in A]
-    rows = len(R)
-    cols = len(R[0]) if rows else 0
+def rref(F: Field, A) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form of a 2-D array; returns (R, pivot column
+    indices).  Each pivot row is scaled to 1 at its pivot and its multiples
+    cleared from every other row in one table lookup over the array."""
+    log, exp = _log_exp(F.order)
+    R = np.array(A, np.intp)
+    rows, cols = R.shape
     pivots: list[int] = []
-    r = 0
     for c in range(cols):
-        pr = next((i for i in range(r, rows) if R[i][c] != 0), None)
-        if pr is None:
-            continue
-        R[r], R[pr] = R[pr], R[r]
-        R[r] = F.scaled(F.inv(R[r][c]), R[r])
-        for i in range(rows):
-            if i != r and R[i][c] != 0:
-                R[i] = F.sub_scaled(R[i], R[i][c], R[r])
-        pivots.append(c)
-        r += 1
+        r = len(pivots)
         if r == rows:
             break
+        p = r + (R[r:, c] != 0).argmax()  # the first non-zero, if any
+        if not R[p, c]:
+            continue
+        if p != r:
+            R[[r, p]] = R[[p, r]]
+        # rows r.. vanish left of c, so columns c.. carry the whole operation
+        row = exp[log[R[r, c:]] + log[F.inv(R[r, c])]]
+        R[:, c:] ^= exp[log[R[:, c, None]] + log[row]]
+        R[r, c:] = row
+        pivots.append(c)
     return R, pivots
 
 
-def rank(F: Field, A: Matrix) -> int:
+def rank(F: Field, A) -> int:
     return len(rref(F, A)[1])
 
 
-def solve(F: Field, A: Matrix, b: Sequence[int]) -> list[int]:
+def solve(F: Field, A, b: Sequence[int]) -> np.ndarray:
     """Any solution x of A x = b; free variables (in column-echelon order)
     are set to zero.  Raises NoSolution if inconsistent."""
-    rows = len(A)
-    aug = [list(A[i]) + [b[i]] for i in range(rows)]
-    R, pivots = rref(F, aug)
-    cols = len(A[0]) if rows else 0
+    A = np.asarray(A)
+    R, pivots = rref(F, np.column_stack([A, b]))
+    cols = A.shape[1]
     if cols in pivots:
         raise NoSolution("inconsistent linear system")
-    x = [0] * cols
-    for i, c in enumerate(pivots):
-        x[c] = R[i][cols]
+    x = np.zeros(cols, np.intp)
+    x[pivots] = R[:len(pivots), cols]
     return x
 
 
-def null_space(F: Field, A: Matrix) -> Matrix:
+def null_space(F: Field, A) -> np.ndarray:
     """Basis (as rows) of {x : A x = 0}: one row per non-pivot column, so
     A has rank cols - len(basis)."""
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
     R, pivots = rref(F, A)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        x = [0] * cols
-        x[fc] = 1
-        for i, pc in enumerate(pivots):
-            x[pc] = R[i][fc]  # -a = a in characteristic 2
-        basis.append(x)
+    free = [c for c in range(R.shape[1]) if c not in pivots]
+    basis = np.zeros((len(free), R.shape[1]), np.intp)
+    basis[range(len(free)), free] = 1
+    basis[:, pivots] = R[:len(pivots), free].T  # -a = a in characteristic 2
     return basis

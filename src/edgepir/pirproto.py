@@ -112,13 +112,13 @@ def plan_protocol(cache: EncodedCache, T: int, n: int,
                           Cbar, Ctilde, Cprime, cached)
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class ErasureMatrix:
     Ehat: list  # d rows of n bits
     J: list  # row supports, each a list of Gamma coordinates
     I_sets: list  # beta information sets of C'_max, each size k_max
     F_sets: list  # per coordinate l, sorted list of stripes m with l in I_m
-    D: np.ndarray  # d x Gamma x n, D_j = H_J^{-1} H (uint16, as plans are kept)
+    D: np.ndarray  # d x Gamma x n, D_j = H_J^{-1} H
     decoders: dict  # storage code -> its _stripe_decoder
     gather: Optional[np.ndarray] = None  # beta x k_max rows of the stacked D_j rho_j
     units: Optional[np.ndarray] = None  # 3 x (d Gamma): (l, j, s) of every useful round
@@ -134,17 +134,17 @@ def build_erasure_matrix(params: ProtocolParams) -> ErasureMatrix:
         if sum(row) != Gamma:
             raise ValueError("erasure-matrix row does not have weight Gamma")
         # [H_J | H] reduces to [I | H_J^{-1} H] iff the support is correctable
-        R, pivots = gf.rref(F, [[h[l] for l in support] + h for h in H])
+        R, pivots = gf.rref(F, np.hstack([H[:, support], H]))
         if pivots != list(range(Gamma)):
             raise ValueError("erasure-matrix row not correctable by the retrieval code")
-        D.append([r[Gamma:] for r in R])
+        D.append(R[:, Gamma:])
     I_sets, F_sets = build_information_sets(Ehat, params.beta, n, params.d)
     for l in range(n):
         if len(F_sets[l]) != sum(Ehat[j][l] for j in range(d)):
             raise ValueError(f"coordinate {l} serves the wrong number of stripes")
     decoders = {C: _stripe_decoder(C, I_sets, params.coords, params.cache.scheme.k_max)
                 for C in dict.fromkeys(params.cache.codes[i] for i in params.cached)}
-    em = ErasureMatrix(Ehat, J, I_sets, F_sets, np.array(D, np.uint16), decoders)
+    em = ErasureMatrix(Ehat, J, I_sets, F_sets, np.array(D), decoders)
     s_assign = _s_assignment(em, d, n)
     slot = {(s_assign[l, j], l): j * Gamma + t for j, row in enumerate(J)
             for t, l in enumerate(row)}
@@ -161,13 +161,12 @@ def _stripe_decoder(code: codes.LinearCode, I_sets: list, coords: list,
     vanish iff w is such a restriction.  Stacked, beta x k_max x k_max."""
     k, E = code.k, []
     for I in I_sets:
-        A = [[g[coords[l]] for g in code.G] + [int(s == t) for t in range(k_max)]
-             for s, l in enumerate(sorted(I))]
-        R, pivots = gf.rref(code.field, A)
+        G_I = code.G[:, [coords[l] for l in sorted(I)]]
+        R, pivots = gf.rref(code.field, np.hstack([G_I.T, np.eye(len(I), k_max, dtype=np.intp)]))
         if len(I) != k_max or pivots[:k] != list(range(k)):
             raise ValueError("constructed set is not an information set")
-        E.append([r[k:] for r in R])
-    return np.array(E, np.uint16)
+        E.append(R[:, k:])
+    return np.array(E)
 
 
 def build_information_sets(Ehat: list, beta: int, n: int, d: int):
@@ -197,7 +196,7 @@ def build_information_sets(Ehat: list, beta: int, n: int, d: int):
     return [set(I) for I in I_sets], [sorted(F) for F in F_sets]
 
 
-@dataclass
+@dataclass(eq=False)
 class QuerySet:
     """Q[l] is coordinate l's d x width GF(q) query matrix: the l-th slice of
     the blinding codewords, plus 1 at the plan's unit slots (l, j, beta*iota + s)."""
@@ -250,7 +249,7 @@ def generate_queries(params: ProtocolParams, em: ErasureMatrix,
     # state as one bounded draw per element), and their codewords as one
     # product with Cbar's generator
     msgs = rng.integers(q, size=(params.d * params.width, params.Cbar.k))
-    words = gf.matmul(q, msgs, np.asarray(params.Cbar.G, np.intp))
+    words = gf.matmul(q, msgs, params.Cbar.G)
     return _queries_from_codewords(params, em, iota,
                                    words.reshape(params.d, params.width, params.n))
 
@@ -349,7 +348,7 @@ def _verify_exact(params: ProtocolParams, em: ErasureMatrix,
     if space > 1 << 20:
         raise ValueError("randomness space too large for exact enumeration")
     msgs = np.array(list(product(range(q), repeat=params.Cbar.k)))
-    encoded = gf.matmul(q, msgs, np.asarray(params.Cbar.G, np.intp))
+    encoded = gf.matmul(q, msgs, params.Cbar.G)
     dists = []
     for iota in range(len(params.cached)):
         counts: Counter = Counter()

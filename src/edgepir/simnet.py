@@ -62,7 +62,7 @@ class Network:
         return self.columns[c]
 
 
-@dataclass
+@dataclass(eq=False)
 class RetrievalTranscript:
     file_index: int
     cached: bool

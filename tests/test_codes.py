@@ -47,13 +47,13 @@ def ref_min_weight(field, rows):
 
 def test_grs_k1_generator_is_v():
     c = codes.grs(GF8, 3, 1, kappa=[1, 2, 3])
-    assert c.G == [[1, 1, 1]]
+    assert c.G.tolist() == [[1, 1, 1]]
 
 
 def test_grs_full_dimension_is_full_space():
     c = codes.grs(GF8, 4, 4)
     assert gf.rank(GF8, c.G) == 4
-    assert c.H == []
+    assert c.H.shape == (0, 4)
 
 
 def test_grs_every_k_subset_information_set():
@@ -96,7 +96,7 @@ def test_grs_nesting():
 
 def test_repetition_and_spc_codes():
     rep = codes.repetition_code(GF2, 6)
-    assert rep.G == [[1] * 6]
+    assert rep.G.tolist() == [[1] * 6]
     assert rep.mds
     spc = codes.spc_code(GF2, 6)
     assert spc.k == 5 and spc.n == 6
@@ -110,6 +110,22 @@ def test_linear_code_rejects_rank_deficient():
         codes.LinearCode(GF2, [[1, 1], [1, 1]])
 
 
+@pytest.mark.parametrize("make,match", [
+    (lambda: codes.LinearCode(GF8, []), "generator matrix is empty"),
+    (lambda: codes.LinearCode(GF8, [[1, 2, 3], [1, 2]]), "generator matrix is ragged"),
+    (lambda: codes.LinearCode(GF8, [[1, 9, 3]]), r"generator matrix has an entry not in GF\(8\)"),
+    (lambda: codes.grs(GF8, 6, 3).contains([1, 2, 3]), "word must be 6 field elements"),
+    (lambda: codes.grs(GF8, 6, 3).contains([9, 0, 0, 0, 0, 0]),
+     r"word has an entry not in GF\(8\)"),
+    (lambda: codes.grs(GF8, 6, 3).encode([9, 1, 1]), r"message has an entry not in GF\(8\)"),
+], ids=["empty", "ragged", "generator-entry", "word-length", "word-entry", "message-entry"])
+def test_malformed_code_input_raises_value_error(make, match):
+    """Malformed generators, words and messages raise ValueError naming
+    the problem, not an IndexError or numpy's broadcast message."""
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
 def test_linear_code_eliminates_generator_once(monkeypatch):
     """The rank check and the parity-check matrix come from one rref of G."""
     grs = codes.grs(GF8, 6, 3)
@@ -117,7 +133,8 @@ def test_linear_code_eliminates_generator_once(monkeypatch):
     rref = gf.rref
     monkeypatch.setattr(gf, "rref", lambda F, A: calls.append(A) or rref(F, A))
     c = codes.LinearCode(GF8, grs.G)
-    assert calls == [grs.G] and c.H == grs.H
+    assert [A.tolist() for A in calls] == [grs.G.tolist()]
+    assert c.H.tolist() == grs.H.tolist()
     with pytest.raises(ValueError, match="rank deficient"):
         codes.LinearCode(GF8, [[1, 2, 3], [2, 4, 6]])
     assert len(calls) == 2
@@ -125,14 +142,14 @@ def test_linear_code_eliminates_generator_once(monkeypatch):
 
 def test_identity_generator_no_redundancy():
     c = codes.LinearCode(GF2, [[1, 0], [0, 1]])
-    assert c.H == []
+    assert c.H.shape == (0, 2)
     assert not codes.correctable(c, [1, 0])
 
 
 def test_puncture_keep_all_identity():
     c = codes.grs(GF8, 5, 2)
     p = codes.puncture(c, range(5))
-    assert p.G == c.G
+    assert p.G.tolist() == c.G.tolist()
 
 
 def test_puncture_grs_restricts_parameters():

@@ -364,18 +364,6 @@ def test_gf4096_ops_match_polynomial_reference_sampled():
     assert F.mul(0, 7) == F.mul(7, 0) == F.pow(0, 5) == 0 and F.pow(0, 0) == 1
 
 
-@pytest.mark.parametrize("q", [1 << 10, 1 << 16])
-def test_sub_scaled_without_table(q):
-    """The elimination row operations of a field without a product table."""
-    F = gf.make_field(q)
-    rnd = random.Random(q)
-    x = [rnd.randrange(q) for _ in range(30)] + [0, 5]
-    y = [rnd.randrange(q) for _ in range(30)] + [0, 0]
-    for c in (1, 2, q - 1, rnd.randrange(1, q)):
-        assert F.sub_scaled(x, c, y) == [F.add(v, F.mul(c, w)) for v, w in zip(x, y)]
-        assert F.scaled(c, y) == [F.mul(c, w) for w in y]
-
-
 def test_pinned_moduli_are_the_lexicographic_search():
     for m in range(2, 17):
         assert gf.make_field(1 << m).modulus == ref_modulus(m), m
@@ -699,5 +687,83 @@ def test_null_space_annihilates_and_spans():
         assert len(ns) == 5 - gf.rank(F, A)
         for v in ns:
             assert all(x == 0 for x in gf.mat_vec(F, A, v))
-        if ns:
+        if len(ns):
             assert gf.rank(F, ns) == len(ns)
+
+
+def ref_rref(F, A):
+    """Reduced row echelon form by scalar row operations on lists of rows:
+    the list elimination that the array one replaced, kept as its
+    reference.  Returns (R, pivot column indices)."""
+    R = [list(r) for r in A]
+    rows = len(R)
+    cols = len(R[0]) if rows else 0
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        pr = next((i for i in range(r, rows) if R[i][c] != 0), None)
+        if pr is None:
+            continue
+        R[r], R[pr] = R[pr], R[r]
+        inv = F.inv(R[r][c])
+        R[r] = [F.mul(inv, w) for w in R[r]]
+        for i in range(rows):
+            if i != r and R[i][c] != 0:
+                R[i] = [F.add(v, F.mul(R[i][c], w)) for v, w in zip(R[i], R[r])]
+        pivots.append(c)
+    return R, pivots
+
+
+def elimination_cases(q, rnd):
+    """Tall, wide, square, sparse, rank-deficient, all-zero and empty
+    matrices over GF(q), as (name, r x c array) pairs."""
+    def rand(r, c, zeros=0.0):
+        return np.array([[0 if rnd.random() < zeros else rnd.randrange(q) for _ in range(c)]
+                         for _ in range(r)], np.intp).reshape(r, c)
+
+    F = gf.make_field(q)
+    low = ref_mat_mul(F, rand(7, 2).tolist(), rand(2, 9).tolist())  # rank <= 2
+    dup = rand(6, 5)
+    dup[:, 3] = dup[:, 1]  # a repeated column
+    dup[4] = dup[0]  # and a repeated row
+    return [("tall", rand(9, 4)), ("wide", rand(4, 12)), ("square", rand(6, 6)),
+            ("sparse", rand(8, 10, zeros=0.7)), ("low rank", np.array(low, np.intp)),
+            ("repeated", dup), ("zero", np.zeros((5, 6), np.intp)),
+            ("no rows", np.zeros((0, 5), np.intp)), ("no columns", np.zeros((4, 0), np.intp)),
+            ("one entry", np.array([[q - 1]]))]
+
+
+@pytest.mark.parametrize("q", [2, 8, 256, 1 << 10, 1 << 16])
+def test_rref_matches_list_reference(q):
+    """The array elimination gives the list elimination's R and pivots
+    over fields with a product table (q <= 512) and without one, and on
+    the same matrices rank, null_space and solve keep their laws: rank is
+    the pivot count, the null space is a basis of A x = 0, and solve
+    returns a solution exactly when [A | b] has A's rank, else raises
+    NoSolution."""
+    F, rnd = gf.make_field(q), random.Random(q)
+    for name, A in elimination_cases(q, rnd):
+        rows, cols = A.shape
+        R, pivots = gf.rref(F, A)
+        ref_R, ref_pivots = ref_rref(F, A.tolist())
+        assert (R.tolist(), pivots) == (ref_R, ref_pivots), name
+        rank = gf.rank(F, A)
+        assert rank == len(ref_pivots) == _independent_rank(F, A.tolist()), name
+        N = gf.null_space(F, A)
+        assert N.shape == (cols - rank, cols), name
+        assert not gf.matmul(q, A, N.T).any() and gf.rank(F, N) == len(N), name
+        x0 = [rnd.randrange(q) for _ in range(cols)]
+        b = gf.mat_vec(F, A, x0)
+        assert gf.mat_vec(F, A, gf.solve(F, A, b)) == b, name
+        refused = 0
+        for i in range(rows):  # the unit vectors span GF(q)^rows
+            e = [int(t == i) for t in range(rows)]
+            if len(ref_rref(F, np.column_stack([A, e]).tolist())[1]) > rank:
+                with pytest.raises(gf.NoSolution):
+                    gf.solve(F, A, e)
+                refused += 1
+            else:
+                assert gf.mat_vec(F, A, gf.solve(F, A, e)) == e, name
+        assert (refused > 0) == (rank < rows), name

@@ -125,6 +125,19 @@ def test_run_retrieval_deterministic_under_seed():
     assert a.queries.Q.tolist() == b.queries.Q.tolist() and a.responses == b.responses
 
 
+def test_records_holding_arrays_compare_by_identity():
+    """Transcripts, query sets and erasure matrices hold arrays, so they
+    compare by identity (values are compared through summary() and
+    .tolist()); == gives a bool instead of raising."""
+    net = example_network([0.2, 0.1, 0.1, 0.1, 0.1, 0.2, 0.2])
+    a, b = (simnet.run_retrieval(net, 1, 6, 1, np.random.default_rng(9), keep_messages=True)
+            for _ in range(2))
+    em = net.plan(1, 6, a.coords)[1]
+    fresh_em = pirproto.build_erasure_matrix(pirproto.plan_protocol(net.cache, 1, 6, a.coords))
+    assert (a == b, a.queries == b.queries, em == fresh_em) == (False, False, False)
+    assert a == a and a.queries == a.queries and em == em
+
+
 def test_monte_carlo_matches_closed_form_rates():
     gamma = [0.0, 0.1, 0.2, 0.4, 0.2, 0.1]
     net = partial_network(gamma)
@@ -205,7 +218,7 @@ def test_network_plan_is_a_fresh_plan():
         assert net.plan(1, 6, coords)[1] is em
         fresh = pirproto.plan_protocol(enc, 1, 6, coords)
         fresh_em = pirproto.build_erasure_matrix(fresh)
-        assert params.Ctilde.H == fresh.Ctilde.H and em.Ehat == fresh_em.Ehat
+        assert params.Ctilde.H.tolist() == fresh.Ctilde.H.tolist() and em.Ehat == fresh_em.Ehat
         assert np.array_equal(em.D, fresh_em.D) and np.array_equal(em.gather, fresh_em.gather)
         assert em.decoders.keys() == fresh_em.decoders.keys()
         assert all(np.array_equal(em.decoders[C], fresh_em.decoders[C]) for C in em.decoders)
@@ -270,3 +283,20 @@ def test_realistic_stripes_recover_bit_exactly(args, delta_max):
     """run_retrieval raises VerificationError unless the recovered file is
     bit-identical to the library's."""
     assert int(run_child(SESSIONS.format(args=args))) == delta_max
+
+
+@pytest.mark.parametrize("ks,T", [((31, 31), 1), ((21, 42), 1), ((20, 40), 2)],
+                         ids=["k31-31-T1", "k21-42-T1", "k20-40-T2"])
+def test_large_field_sessions_recover_bit_exactly(ks, T):
+    """q = 64 with N = n = b = 63 and two cached files: one retrieval of
+    each file recovers it bit-exactly (run_retrieval raises
+    VerificationError otherwise), every coordinate answered by an SBS."""
+    N = 63
+    mu = [Fraction(1, k) for k in ks]
+    beta = N - (max(ks) + T - 1)
+    lib = cache.FileLibrary.random(2, beta, 40, [0.5, 0.5], np.random.default_rng(T))
+    net = simnet.Network(cache.EncodedCache(lib, cache.CachingScheme(N, sum(mu), mu, q=64)),
+                         [0.0] * N + [1.0])
+    for f in (0, 1):
+        tr = simnet.run_retrieval(net, T, N, f, np.random.default_rng(f), b=N)
+        assert tr.success and tr.cached and tr.bits_from_mbs == 0
