@@ -86,7 +86,7 @@ class CachingScheme:
                  allow_full_spread: bool = False):
         self.N_sbs = N_sbs
         self.M = Fraction(M)
-        self.mu = rates._check_mu(mu)
+        self.mu, _ = rates._check_mu(mu)
         self.q = q
         if sum(self.mu) > self.M:
             raise ValueError("placement exceeds cache budget: sum(mu) > M")

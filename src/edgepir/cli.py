@@ -43,8 +43,12 @@ def load_config(args) -> spec.Section:
 
 
 def protocol(cfg, n=None) -> tuple:
-    """(T, n) from their one home, the protocol section; T defaults to 1."""
-    return cfg.get("protocol", {}).get("T", 1), cfg.get("protocol", {}).get("n", n)
+    """(T, n) from their one home, the protocol section; T defaults to 1
+    and must be at least 1."""
+    T = cfg.get("protocol", {}).get("T", 1)
+    if T < 1:
+        raise ConfigError(f"protocol.T must be at least 1, got {T}")
+    return T, cfg.get("protocol", {}).get("n", n)
 
 
 def check_flag(args, name: str, low: int, high=math.inf) -> None:

@@ -2,18 +2,23 @@
 
 With PIR, uniform placement (one cached fraction mu = 1/k shared by the
 min(M*k, F) most popular files) is optimal, so the PIR optimizers scan the
-(k, n) grid exhaustively.  Without PIR the per-file placement matters and
-is solved by a knapsack-style dynamic program over a discretized cache
-budget.  All optimizers compare against the no-caching baseline (rate 1)
-and report mu = 0 when caching never helps.
-
-Tie-breaking is deterministic: smaller n first, then larger mu (smaller k),
-so sweep transition tables are reproducible.
+(n, k) grid exhaustively.  One array scan evaluates the objective at every
+cache size and every candidate (n, k), k <= max(2, 2*N_max) and
+k + T <= n <= N_max + k + T, in float64 with the same operations, in the
+same order, as a per-candidate loop; each cache size then walks its
+candidates in (n, k) order and moves to one only when it is below the best
+so far by more than SLACK.  So ties go to smaller n first, then smaller k
+(larger mu), and sweep transition tables are reproducible; an argmin would
+pick differently among values within SLACK of each other.  Without PIR the
+per-file placement matters and is solved by a knapsack-style dynamic
+program over a discretized cache budget.  All optimizers compare against
+the no-caching baseline (rate 1) and report mu = 0 when caching never
+helps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, lcm
 from typing import Optional, Sequence
@@ -32,7 +37,6 @@ class Optimum:
     n_star: Optional[int]
     files_cached: int
     value: float
-    table: list = field(default_factory=list, repr=False)
 
 
 def _check_budget(M) -> Fraction:
@@ -42,76 +46,58 @@ def _check_budget(M) -> Fraction:
     return M
 
 
-def _prefix_sums(p: Sequence[float]) -> list[float]:
-    out = [0.0]
-    for x in p:
-        out.append(out[-1] + x)
+def _scan(p: Sequence[float], gamma, M_values: Sequence, T: int,
+          theta: float) -> list[Optimum]:
+    """The uniform-placement optimum of R + theta*D at each cache size.
+
+    The objective factor*(P[fc]*E[(n-b)^+] + theta*E[min(b, n)]) + (P[F] - P[fc]),
+    factor = 1/(n - T + 1 - k), fc = min(floor(M*k), F) and P the prefix
+    sums of p, is one (cache size x candidate) float64 array; candidates
+    with fc = 0 read inf, so they are never taken."""
+    if not 0 <= theta <= 1:
+        raise ValueError("theta must lie in [0, 1]")
+    rates._check_T(T)
+    g = rates._gamma_list(gamma)
+    F = len(p)
+    M_values = [_check_budget(M) for M in M_values]
+    N_max = max((b for b, x in enumerate(g) if x > 0), default=0)
+    K = max(2, 2 * N_max)
+    k, j = np.meshgrid(np.arange(1, K + 1), np.arange(1, N_max + 2))  # j = n-T+1-k
+    k, j = k.ravel(), j.ravel()
+    order = np.lexsort((k, k + j))  # (n, k) order
+    k, j = k[order], j[order]
+    n = k + j + T - 1
+    # np.cumsum adds left to right: a loop's prefix sums, bit for bit
+    cdf = np.cumsum([0.0, *g], dtype=float)
+    first_moment = np.cumsum([0.0, *(b * gb for b, gb in enumerate(g))], dtype=float)
+    m = np.minimum(n, len(g))
+    mbs = n * cdf[m] - first_moment[m]                  # E[(n - b)^+]
+    sbs = first_moment[m] + n * (cdf[-1] - cdf[m])      # E[min(b, n)]
+    fc = np.array([[min(M.numerator * c // M.denominator, F) for c in range(1, K + 1)]
+                   for M in M_values], dtype=np.int64).reshape(-1, K)[:, k - 1]
+    P = np.cumsum([0.0, *p], dtype=float)
+    obj = (1.0 / j) * (P[fc] * mbs + theta * sbs) + (P[F] - P[fc])
+    obj[fc == 0] = np.inf
+    baseline = float(P[F])  # no caching: full file from the MBS every time
+    k, n, out = k.tolist(), n.tolist(), []
+    for cached, row in zip(fc.tolist(), obj.tolist()):
+        best, at = np.inf, None
+        for i, value in enumerate(row):
+            if value < best - SLACK:
+                best, at = value, i
+        if at is None or best >= baseline - SLACK:
+            out.append(Optimum(Fraction(0), None, None, 0, baseline))
+        else:
+            out.append(Optimum(Fraction(1, k[at]), k[at], n[at], cached[at], best))
     return out
 
 
-class _GammaSums:
-    """Prefix sums of gamma enabling O(1) evaluation of the expected MBS
-    and SBS coordinate counts E[n - min(b, n)] and E[min(b, n)]."""
-
-    def __init__(self, gamma: list):
-        self.cdf = [0.0]
-        self.first_moment = [0.0]
-        for b, gb in enumerate(gamma):
-            self.cdf.append(self.cdf[-1] + gb)
-            self.first_moment.append(self.first_moment[-1] + b * gb)
-        self.total = self.cdf[-1]
-
-    def mbs(self, n: int) -> float:
-        """E[(n - b)^+] = sum_{b < n} gamma_b (n - b)."""
-        m = min(n, len(self.cdf) - 1)
-        return n * self.cdf[m] - self.first_moment[m]
-
-    def sbs(self, n: int) -> float:
-        """E[min(b, n)]."""
-        m = min(n, len(self.cdf) - 1)
-        return self.first_moment[m] + n * (self.total - self.cdf[m])
-
-
 def optimize_pir(p: Sequence[float], gamma, M, T: int,
-                 k_candidates: Optional[Sequence[int]] = None,
                  theta: float = 0.0) -> Optimum:
-    """Exhaustive (k, n) scan of the uniform-placement objective
+    """Exhaustive (n, k) scan of the uniform-placement objective
     R + theta*D, theta in [0, 1]; theta = 0 optimizes the backhaul rate
     alone."""
-    if not 0 <= theta <= 1:
-        raise ValueError("theta must lie in [0, 1]")
-    g = rates._gamma_list(gamma)
-    F = len(p)
-    M = _check_budget(M)
-    N_max = max((b for b, x in enumerate(g) if x > 0), default=0)
-    if k_candidates is None:
-        k_candidates = range(1, max(2, 2 * N_max) + 1)
-    P = _prefix_sums(p)
-    table = []
-    best = None
-    candidates = []
-    for k in k_candidates:
-        for n in range(k + T, N_max + k + T + 1):
-            candidates.append((n, k))
-    sums = _GammaSums(g)
-    cached = {k: min(M.numerator * k // M.denominator, F) for _, k in candidates}
-    mbs = {n: sums.mbs(n) for n, _ in candidates}
-    sbs = {n: sums.sbs(n) for n, _ in candidates}
-    for n, k in sorted(candidates):
-        files_cached = cached[k]
-        if files_cached == 0:
-            continue
-        factor = 1.0 / (n - T + 1 - k)
-        obj = factor * (P[files_cached] * mbs[n]
-                        + theta * sbs[n]) + (P[F] - P[files_cached])
-        table.append({"k": k, "n": n, "files_cached": files_cached, "value": obj})
-        if best is None or obj < best["value"] - SLACK:
-            best = table[-1]
-    baseline = float(P[F])  # no caching: full file from the MBS every time
-    if best is None or best["value"] >= baseline - SLACK:
-        return Optimum(Fraction(0), None, None, 0, baseline, table)
-    return Optimum(Fraction(1, best["k"]), best["k"], best["n"],
-                   best["files_cached"], best["value"], table)
+    return _scan(p, gamma, [M], T, theta)[0]
 
 
 def optimize_weighted(p: Sequence[float], gamma, M, T: int, theta: float,
@@ -123,20 +109,19 @@ def optimize_weighted(p: Sequence[float], gamma, M, T: int, theta: float,
 def popular_pir(p: Sequence[float], gamma, M: int, T: int) -> Optimum:
     """PIR rate when the M most popular files are cached whole (k = 1),
     minimized over the number of contacted coordinates n."""
+    rates._check_T(T)
     g = rates._gamma_list(gamma)
     F = len(p)
     if not 0 <= M <= F:
         raise ValueError(f"cannot cache {M} whole files of {F}")
     N_max = max((b for b, x in enumerate(g) if x > 0), default=0)
-    P = _prefix_sums(p)
-    table = []
-    best = None
+    P = np.cumsum([0.0, *p], dtype=float).tolist()
+    best, n_star = np.inf, None
     for n in range(T + 1, N_max + T + 2):
         obj = P[M] * rates.expected_mbs_coords(g, n) / (n - T) + (P[F] - P[M])
-        table.append({"k": 1, "n": n, "files_cached": M, "value": obj})
-        if best is None or obj < best["value"] - SLACK:
-            best = table[-1]
-    return Optimum(Fraction(1), 1, best["n"], M, best["value"], table)
+        if obj < best - SLACK:
+            best, n_star = obj, n
+    return Optimum(Fraction(1), 1, n_star, M, best)
 
 
 def optimize_nopir(p: Sequence[float], gamma, M,
@@ -166,6 +151,12 @@ def optimize_nopir(p: Sequence[float], gamma, M,
     N_max = max((b for b, x in enumerate(g) if x > 0), default=0)
     if k_candidates is None:
         k_candidates = list(range(1, max(2, 2 * N_max) + 1))
+    k_candidates = list(k_candidates)
+    for k in k_candidates:
+        if not isinstance(k, (int, np.integer)) or k < 1:
+            raise ValueError(f"candidate k = {k!r} is not a positive integer")
+    if not k_candidates:
+        raise ValueError("need at least one candidate k")
     k_candidates = sorted(set(k_candidates))
     unit = lcm(*k_candidates)
     budget = int(floor(M * unit))
@@ -225,13 +216,10 @@ def optimize_nopir(p: Sequence[float], gamma, M,
 
 def sweep_cache_size(p: Sequence[float], gamma, M_values: Sequence, T: int,
                      theta: float = 0.0) -> list[dict]:
-    """One uniform-placement optimum per cache size M."""
-    out = []
-    for M in M_values:
-        opt = optimize_pir(p, gamma, M, T, theta=theta)
-        out.append({"M": M, "mu_star": opt.mu_star, "k_star": opt.k_star,
-                    "n_star": opt.n_star, "value": opt.value})
-    return out
+    """One uniform-placement optimum per cache size M, from one scan."""
+    return [{"M": M, "mu_star": opt.mu_star, "k_star": opt.k_star,
+             "n_star": opt.n_star, "value": opt.value}
+            for M, opt in zip(M_values, _scan(p, gamma, M_values, T, theta))]
 
 
 def sweep_density(p: Sequence[float], M, T: int, lam_values: Sequence[float],
@@ -240,7 +228,7 @@ def sweep_density(p: Sequence[float], M, T: int, lam_values: Sequence[float],
     out = []
     for lam in lam_values:
         gamma = topology.ppp_gamma(topology.PppModel(lam, r_u))
-        opt = optimize_pir(p, gamma, M, T, theta=theta)
+        [opt] = _scan(p, gamma, [M], T, theta)
         out.append({"lambda": lam, "mu_star": opt.mu_star, "k_star": opt.k_star,
                     "n_star": opt.n_star, "value": opt.value})
     return out

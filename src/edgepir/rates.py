@@ -23,17 +23,21 @@ def _gamma_list(gamma) -> list:
     return list(gamma)
 
 
-def _check_mu(mu) -> list[Fraction]:
-    out = []
+def _check_mu(mu) -> tuple[list[Fraction], list[int]]:
+    """mu as Fractions, each checked to be 0 or 1/k, and each entry's k (0
+    where mu_i = 0), in one pass over mu."""
+    out, ks = [], []
     for m in mu:
         f = m if isinstance(m, Fraction) else Fraction(m)
-        if f.numerator not in (0, 1):
+        num, k = f.as_integer_ratio()
+        if num not in (0, 1):
             raise ValueError(f"placement entries must be 0 or 1/k, got {m}")
+        ks.append(k if num else 0)
         out.append(f)
-    return out
+    return out, ks
 
 
-def _check_placement(p: Sequence, mu: Sequence) -> list[Fraction]:
+def _check_placement(p: Sequence, mu: Sequence) -> tuple[list[Fraction], list[int]]:
     """mu checked by _check_mu, with one entry per popularity value."""
     if len(p) != len(mu):
         raise ValueError(f"placement has {len(mu)} entries for {len(p)} files")
@@ -45,7 +49,7 @@ def backhaul_nopir(p: Sequence, mu: Sequence, gamma) -> object:
     of the k_i coded symbols, the MBS supplies the max(0, k_i - b) missing
     ones; uncached files are fetched whole."""
     g = _gamma_list(gamma)
-    mu = _check_placement(p, mu)
+    mu, _ = _check_placement(p, mu)
     total = 0
     for pi, mi in zip(p, mu):
         if mi == 0:
@@ -66,14 +70,20 @@ def backhaul_nopir_popular(p: Sequence, M: int, gamma) -> object:
     return g0 * sum(p[:M]) + sum(p[M:])
 
 
-def _cached_extremes(mu: list[Fraction]):
+def _cached_extremes(ks: list[int]):
     """(mu_min, mu_max) over the cached entries 1/k, i.e. (1/max k, 1/min k),
-    or None when nothing is cached."""
-    ks = [m.denominator for m in mu if m.numerator]
+    from each entry's k (0 where uncached), or None when nothing is cached."""
+    ks = [k for k in ks if k]
     return (Fraction(1, max(ks)), Fraction(1, min(ks))) if ks else None
 
 
+def _check_T(T) -> None:
+    if T < 1:
+        raise ValueError(f"collusion threshold T must be at least 1, got {T}")
+
+
 def _pir_factor(mu_min: Fraction, mu_max: Fraction, n: int, T: int):
+    _check_T(T)
     den = mu_min * (n - T + 1) - 1
     if den <= 0:
         raise ValueError(
@@ -91,8 +101,8 @@ def backhaul_pir(p: Sequence, mu: Sequence, gamma, n: int, T: int) -> object:
     that in-range SBSs cannot, each answer d*L*mu_max bits; uncached files
     are fetched whole."""
     g = _gamma_list(gamma)
-    mu = _check_placement(p, mu)
-    extremes = _cached_extremes(mu)
+    _, ks = _check_placement(p, mu)
+    extremes = _cached_extremes(ks)
     if extremes is None:
         return sum(p)
     factor = _pir_factor(*extremes, n, T)
@@ -100,8 +110,8 @@ def backhaul_pir(p: Sequence, mu: Sequence, gamma, n: int, T: int) -> object:
     float_factor = float(factor)
     mbs_coords = expected_mbs_coords(g, n)
     total = 0
-    for pi, mi in zip(p, mu):
-        if not mi.numerator:
+    for pi, k in zip(p, ks):
+        if not k:
             total += pi
         elif type(pi) is float:
             total += pi * float_factor * mbs_coords
@@ -115,8 +125,8 @@ def sbs_rate_pir(p: Sequence, mu: Sequence, gamma, n: int, T: int) -> object:
     min(b, n) in-range SBSs regardless of which file is requested, so the
     rate does not depend on the popularity profile."""
     g = _gamma_list(gamma)
-    mu = _check_placement(p, mu)
-    extremes = _cached_extremes(mu)
+    _, ks = _check_placement(p, mu)
+    extremes = _cached_extremes(ks)
     if extremes is None:
         return 0
     factor = _pir_factor(*extremes, n, T)

@@ -472,3 +472,17 @@ def test_optimize_cache_above_library_caches_every_file_whole(tmp_path):
     rows = {r["objective"]: r for r in read_csv(str(out))}
     assert rows["PIR popular"]["files_cached"] == rows["noPIR popular"]["files_cached"] == "20"
     assert all(float(r["value"]) == 0.0 for r in rows.values())  # >= 2 SBSs always in range
+
+
+@pytest.mark.parametrize("command", ["optimize", "sweep", "rates", "simulate"])
+def test_collusion_threshold_below_one_exits_2(tmp_path, capsys, command):
+    """protocol.T = 0 once printed a rate-0 PIR optimum at n* = k* = 2,
+    sweep rows and an R_PIR, and stopped simulate on an empty generator
+    matrix."""
+    cfg = _preset("fig2") | {"sweep": SWEEP_M}
+    cfg["protocol"]["T"] = 0
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run([command, "--config", str(path), "--trials", "3"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "config error: protocol.T must be at least 1, got 0\n"

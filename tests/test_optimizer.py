@@ -103,14 +103,153 @@ def test_pir_caching_never_pays_when_no_coverage():
     assert opt.k_star is None and opt.value == pytest.approx(1.0)
 
 
+def reference_optimize_pir(p, gamma, M, T, theta=0.0):
+    """The per-candidate optimize_pir loop that the array scan replaced,
+    kept as its reference: (Optimum, table of every candidate evaluated)."""
+    g = rates._gamma_list(gamma)
+    F = len(p)
+    M = Fraction(M)
+    N_max = max((b for b, x in enumerate(g) if x > 0), default=0)
+    P = [0.0]
+    for x in p:
+        P.append(P[-1] + x)
+    cdf, first_moment = [0.0], [0.0]
+    for b, gb in enumerate(g):
+        cdf.append(cdf[-1] + gb)
+        first_moment.append(first_moment[-1] + b * gb)
+    candidates = sorted((n, k) for k in range(1, max(2, 2 * N_max) + 1)
+                        for n in range(k + T, N_max + k + T + 1))
+    table, best = [], None
+    for n, k in candidates:
+        files_cached = min(M.numerator * k // M.denominator, F)
+        if files_cached == 0:
+            continue
+        m = min(n, len(g))
+        mbs = n * cdf[m] - first_moment[m]
+        sbs = first_moment[m] + n * (cdf[-1] - cdf[m])
+        factor = 1.0 / (n - T + 1 - k)
+        obj = factor * (P[files_cached] * mbs + theta * sbs) + (P[F] - P[files_cached])
+        table.append({"k": k, "n": n, "files_cached": files_cached, "value": obj})
+        if best is None or obj < best["value"] - optimizer.SLACK:
+            best = table[-1]
+    baseline = float(P[F])
+    if best is None or best["value"] >= baseline - optimizer.SLACK:
+        return optimizer.Optimum(Fraction(0), None, None, 0, baseline), table
+    return optimizer.Optimum(Fraction(1, best["k"]), best["k"], best["n"],
+                             best["files_cached"], best["value"]), table
+
+
+def optimum_key(opt):
+    return opt.mu_star, opt.k_star, opt.n_star, opt.files_cached, repr(opt.value)
+
+
+def random_gamma(rnd, N_max):
+    """A coverage distribution reaching N_max: random, a point mass, or one
+    with zero entries below N_max."""
+    kind = rnd.choice(["random", "point", "sparse"])
+    if kind == "point":
+        return [0.0] * N_max + [1.0]
+    w = [rnd.random() if kind == "random" or rnd.random() < 0.3 else 0.0
+         for _ in range(N_max)] + [rnd.random() + 0.01]
+    return [x / sum(w) for x in w]
+
+
+def ppp(psi, r_u=60.0):
+    return topology.ppp_gamma(topology.PppModel(psi / (math.pi * r_u ** 2), r_u))
+
+
+def random_popularity(rnd):
+    """Zipf, equal (so many candidates tie) or with repeated values."""
+    F = rnd.randint(1, 60)
+    kind = rnd.choice(["zipf", "equal", "repeated"])
+    if kind == "zipf":
+        return topology.zipf(F, rnd.choice([0.0, 0.4, 0.7, 1.3]))
+    if kind == "equal":
+        return [1.0 / F] * F
+    w = sorted((rnd.choice([0.5, 0.25, rnd.random()]) for _ in range(F)), reverse=True)
+    return [x / sum(w) for x in w]
+
+
+GRID_GAMMAS = [GRID_GAMMA,
+               topology.grid_gamma(topology.GridModel(200.0, 40.0, 60.0), 2000, 1),
+               topology.grid_gamma(topology.GridModel(300.0, 30.0, 70.0), 2000, 2)]
+# N_max 0, 5, 8, 12, 15, 19, 23
+PPP_GAMMAS = [ppp(psi) for psi in (0.0, 0.01, 0.1, 0.5, 1.0, 2.0, 3.0)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_scan_equals_per_candidate_reference(seed):
+    """Identical optimum, files cached and value bits as the per-candidate
+    loop, on random, grid and PPP coverage with N_max from 0 to 25, theta
+    in {0, 0.5, 1}, T in {1, 2, 3}, and cache sizes from nothing cached to
+    everything cached whole.  Point-mass coverage and equal popularities
+    give many candidates whose objectives are equal in exact arithmetic
+    but round differently."""
+    rnd = random.Random(seed)
+    gammas = [random_gamma(rnd, N_max) for N_max in range(26) for _ in range(2)]
+    gammas += GRID_GAMMAS + PPP_GAMMAS + [[0, 0, 0, 1.0], [0, 1.0], [1.0]]
+    for g in gammas:
+        p = random_popularity(rnd)
+        for M in (0, Fraction(1, 3), 7, 10 ** 3, Fraction(rnd.randint(1, 40), rnd.randint(1, 9))):
+            theta, T = rnd.choice([0.0, 0.5, 1.0]), rnd.choice([1, 2, 3])
+            got = optimizer.optimize_pir(p, g, M, T, theta=theta)
+            want, _ = reference_optimize_pir(p, g, M, T, theta)
+            assert optimum_key(got) == optimum_key(want), (p, g, M, T, theta)
+
+
+def row_key(row, axis):
+    return row[axis], row["mu_star"], row["k_star"], row["n_star"], repr(row["value"])
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("T", [1, 2, 3])
+def test_sweeps_equal_per_point_reference(theta, T):
+    """One scan over every cache size, and one per density, give the rows
+    of per-point reference calls."""
+    p = zipf_p(60, 0.7)
+    Ms = [0, Fraction(1, 3), 1, Fraction(5, 2), 7, 30, 59, 60, 61, 10 ** 3]
+    for g in GRID_GAMMAS + [[0, 0, 0, 1.0], PPP_GAMMAS[3]]:
+        want = [reference_optimize_pir(p, g, M, T, theta)[0] for M in Ms]
+        assert [row_key(r, "M") for r in optimizer.sweep_cache_size(p, g, Ms, T, theta=theta)] \
+            == [(M, *optimum_key(w)[:3], repr(w.value)) for M, w in zip(Ms, want)]
+    lams = [i * 3e-5 for i in range(12)]
+    want = [reference_optimize_pir(p, topology.ppp_gamma(topology.PppModel(lam, 60.0)),
+                                   20, T, theta)[0] for lam in lams]
+    assert [row_key(r, "lambda") for r in optimizer.sweep_density(p, 20, T, lams, 60.0,
+                                                                   theta=theta)] \
+        == [(lam, *optimum_key(w)[:3], repr(w.value)) for lam, w in zip(lams, want)]
+
+
 def test_pir_tie_break_prefers_small_n_then_small_k():
-    """With gamma a point mass at b, many (n, k) reach rate 0; the reported
-    optimum is the first in (n, k) order."""
-    opt = optimizer.optimize_pir([1.0], [0, 0, 0, 1.0], 10, 1)
-    assert opt.value == 0.0
-    for row in opt.table:
-        if row["value"] == opt.value:
-            assert (row["n"], row["k"]) >= (opt.n_star, opt.k_star)
+    """Many (n, k) reach the optimum: rate 0 with a point mass at b = 3;
+    with mass 0.3 at b = T = 1, every k = 1, n <= 14 gives 0.3 in exact
+    arithmetic, which floats round to values on both sides of 0.3.  The
+    reported optimum is the first one in (n, k) order, not the smallest
+    float."""
+    for gamma in ([0, 0, 0, 1.0], [0, 0.3] + [0] * 12 + [0.7]):
+        opt = optimizer.optimize_pir([1.0], gamma, 10, 1)
+        want, table = reference_optimize_pir([1.0], gamma, 10, 1)
+        assert optimum_key(opt) == optimum_key(want)
+        near = [(row["n"], row["k"]) for row in table
+                if row["value"] < opt.value + optimizer.SLACK]
+        assert len(near) > 1 and min(near) == (opt.n_star, opt.k_star) == (2, 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda T: optimizer.optimize_pir(zipf_p(20), [0, 0, 1.0], 5, T),
+    lambda T: optimizer.popular_pir(zipf_p(20), [0, 0, 1.0], 5, T),
+    lambda T: optimizer.sweep_cache_size(zipf_p(20), [0, 0, 1.0], [5], T),
+    lambda T: optimizer.sweep_density(zipf_p(20), 5, T, [1e-4], 60.0),
+    lambda T: rates._pir_factor(Fraction(1, 2), Fraction(1, 2), 4, T),
+    lambda T: rates.backhaul_pir([1.0], [Fraction(1, 2)], [0, 0, 1.0], 4, T),
+], ids=["optimize_pir", "popular_pir", "sweep_cache_size", "sweep_density",
+        "_pir_factor", "backhaul_pir"])
+def test_collusion_threshold_below_one_raises(call):
+    """T = 0 or T = -1 once gave an optimum with n* < k* or rate 0."""
+    call(1)
+    for T in (0, -1):
+        with pytest.raises(ValueError, match="threshold T must be at least 1"):
+            call(T)
 
 
 def test_optimize_weighted_bounds_theta():
@@ -299,6 +438,14 @@ def test_nopir_respects_budget():
     for M in (Fraction(1, 2), 1, Fraction(5, 2)):
         opt = optimizer.optimize_nopir(p, GRID_GAMMA, M)
         assert sum(opt.mu_star) <= Fraction(M)
+
+
+@pytest.mark.parametrize("k_set,bad", [([0, 1], "k = 0"), ([2, -1], "k = -1"),
+                                       ([1.5], "k = 1.5"), ([], "at least one")])
+def test_nopir_rejects_bad_candidates(k_set, bad):
+    """k = 0 once raised ZeroDivisionError, and an empty set cached nothing."""
+    with pytest.raises(ValueError, match=bad):
+        optimizer.optimize_nopir(zipf_p(10), GRID_GAMMA, 5, k_candidates=k_set)
 
 
 def test_nopir_budget_overflow_raises():

@@ -127,11 +127,22 @@ def brute_grid_gamma(D, s, r, mc_samples, seed):
     (1e-4, 1e-5, 0.0),       # the 1e-9 m^2 slack spans several lattice steps
     (200.0, 40.0, 59.6),     # r = 1.49 s: offset (2, 0) just pruned
     (200.0, 40.0, 60.0),     # r = 1.5 s: offset (2, 0) kept at its boundary
+    (20.0, 1.0, 10.0),       # about 314 SBSs in range: counts beyond uint8
 ])
 @pytest.mark.parametrize("seed", [0, 1])
 def test_grid_gamma_equals_full_lattice_reference(D, s, r, seed):
     got = topology.grid_gamma(topology.GridModel(D, s, r), mc_samples=3000, seed=seed)
     assert got.gamma == brute_grid_gamma(D, s, r, 3000, seed)
+
+
+@pytest.mark.parametrize("D,s,r", [(200.0, 90.0, 40.0), (200.0, 30.0, 70.0)])
+@pytest.mark.parametrize("mc_samples", [37777, 200001])
+def test_grid_gamma_equals_reference_across_blocks_and_chunks(D, s, r, mc_samples):
+    """grid_gamma counts each 200,000-sample chunk in blocks of 25,000:
+    37,777 samples end inside the second block, and 200,001 put one sample
+    in a second chunk."""
+    got = topology.grid_gamma(topology.GridModel(D, s, r), mc_samples=mc_samples, seed=4)
+    assert got.gamma == brute_grid_gamma(D, s, r, mc_samples, 4)
 
 
 def test_grid_gamma_criterion_2_model_is_unchanged():
