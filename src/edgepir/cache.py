@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import json
 import struct
+import zlib
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
 from typing import Sequence
 
@@ -52,23 +53,28 @@ def check_popularity(popularity: Sequence[float], F: int) -> list[float]:
 class FileLibrary:
     """F files, each beta stripes of L bits, with a popularity vector.
 
-    ``files`` holds the bits as lists of Python ints, and ``bits`` the same
-    bits as a uint8 array of shape (F, beta, L) for the encoder."""
+    ``bits`` holds the bits as a uint8 array of shape (F, beta, L), and
+    ``files``, built on first read, the same bits as lists of Python ints."""
 
     def __init__(self, files: Sequence[Sequence[Sequence[int]]], L: int,
                  popularity: Sequence[float]):
-        self.F = len(files)
-        if self.F == 0:
+        if len(files) == 0:
             raise ValueError("library must contain at least one file")
-        self.beta, self.L = len(files[0]), L
-        if any(len(f) != self.beta or any(len(s) != L for s in f) for f in files):
+        try:
+            bits = np.asarray(files)
+        except ValueError:  # ragged
+            bits = None
+        if bits is None or bits.ndim != 3 or bits.shape[2] != L:
             raise ValueError("every file must be beta stripes of L bits")
-        bits = np.asarray(files).reshape(self.F, self.beta, L)
         if not ((bits == 0) | (bits == 1)).all():
             raise ValueError("file contents must be bits")
         self.bits = bits.astype(np.uint8)
-        self.files = self.bits.tolist()
+        self.F, self.beta, self.L = bits.shape
         self.popularity = check_popularity(popularity, self.F)
+
+    @cached_property
+    def files(self) -> list:
+        return self.bits.tolist()
 
     @classmethod
     def random(cls, F: int, beta: int, L: int, popularity: Sequence[float], rng):
@@ -156,11 +162,12 @@ class EncodedCache:
     """Coded symbols c^(i)_{a,j} for every cached file i, stripe a, SBS j,
     plus the plaintext library retained at the MBS.
 
-    ``messages[i][a]`` is stripe a's k_i packet symbols and
-    ``symbols[i][a]`` its codeword, one symbol per SBS.  Packing is array
-    arithmetic on ``library.bits``: a packet's bits, read in m-bit groups,
-    are its GF(q) digits.  Files of one rate share one storage code
-    (``codes[i]``), and all their stripes are encoded in one GF(q) product.
+    Per rate k, ``packets[k]`` and ``words[k]`` hold the packet digits
+    (files, beta, k, delta) and codeword digits (files, beta, N_sbs, delta)
+    of the files ``rate_files[k]``, encoded in one GF(q) product with their
+    shared storage code (``codes[i]``).  The int views ``messages[i][a]``
+    (stripe a's k_i packet symbols), ``symbols[i][a]`` (its codeword, one
+    symbol per SBS) and the digit ``columns`` are built on first read.
     """
 
     def __init__(self, library: FileLibrary, scheme: CachingScheme):
@@ -178,20 +185,38 @@ class EncodedCache:
         self.codes = {i: scheme.storage_code(i) for i in cached}
         m, beta, N = gf.field_degree(scheme.q), library.beta, scheme.N_sbs
         bits = np.pad(library.bits, [(0, 0), (0, 0), (0, self.pad_bits)])
-        self.messages: dict[int, list[list[int]]] = dict.fromkeys(cached)
-        self.symbols: dict[int, list[list[int]]] = dict.fromkeys(cached)
+        self.rate_files, self.packets, self.words = {}, {}, {}
         for k in dict.fromkeys(scheme.k[i] for i in cached):
-            files = [i for i in cached if scheme.k[i] == k]
+            files = self.rate_files[k] = [i for i in cached if scheme.k[i] == k]
             delta = self.deltas[files[0]]
-            packets = bits[files].reshape(len(files), beta, k, delta * m)
+            packets = gf.bit_digits(bits[files].reshape(len(files), beta, k, delta * m), m)
             # every stripe codeword of these files in one GF(q) product:
             # (N_sbs x k) times (k x files*beta*delta) digits
-            digits = gf.bit_digits(packets, m).transpose(2, 0, 1, 3).reshape(k, -1)
-            words = gf.matmul(scheme.q, self.codes[files[0]].G.T, digits)
-            words = words.reshape(N, len(files), beta, delta).transpose(1, 2, 0, 3)
-            for i, msg, word in zip(files, gf.bits_to_ints(packets),
-                                    gf.digit_ints(words, scheme.q)):
-                self.messages[i], self.symbols[i] = msg, word
+            words = gf.matmul(scheme.q, self.codes[files[0]].G.T,
+                              packets.transpose(2, 0, 1, 3).reshape(k, -1))
+            self.packets[k] = packets
+            self.words[k] = words.reshape(N, len(files), beta, delta).transpose(1, 2, 0, 3)
+
+    def _ints(self, digits: dict[int, np.ndarray]) -> dict[int, list[list[int]]]:
+        out = dict.fromkeys(self.scheme.cached_files())
+        for k, files in self.rate_files.items():
+            out.update(zip(files, gf.digit_ints(digits[k], self.scheme.q)))
+        return out
+
+    @cached_property
+    def messages(self) -> dict[int, list[list[int]]]:
+        return self._ints(self.packets)
+
+    @cached_property
+    def symbols(self) -> dict[int, list[list[int]]]:
+        return self._ints(self.words)
+
+    @cached_property
+    def columns(self) -> np.ndarray:
+        """Row c is cache_column(c) as (width, delta_max) digits."""
+        words = np.concatenate([gf.embed(w, self.delta_max) for w in self.words.values()])
+        words = words[np.argsort(sum(self.rate_files.values(), []))].transpose(2, 0, 1, 3)
+        return np.ascontiguousarray(words).reshape(self.scheme.N_sbs, -1, self.delta_max)
 
     def cache_column(self, sbs_j: int) -> list[int]:
         """Symbols stored at SBS j for all cached files, file-major then
@@ -210,24 +235,22 @@ class EncodedCache:
 
 
 # ---------------------------------------------------------------------------
-# snapshot container: MAGIC | u32 header length | JSON header | body
+# snapshot container: MAGIC | u32 header length | JSON header | body | CRC
 # body = library bits (file-major, stripe-major, bit-packed big-endian,
 # byte-aligned per stripe: np.packbits of library.bits) then cached symbols
-# (file-major, stripe-major, coordinate-minor, fixed width per file)
+# (file-major, stripe-major, coordinate-minor, fixed width per file, each
+# the big-endian bytes of its int); CRC = u32 zlib.crc32 of all before it
 # ---------------------------------------------------------------------------
 
-def _symbol_bytes(q: int, delta: int) -> int:
-    """Fixed byte width of a GF(q)^delta symbol in a snapshot."""
-    return ((q ** delta - 1).bit_length() + 7) // 8
-
-
 def _symbol_body(cache: EncodedCache) -> bytes:
-    """The cached symbols in snapshot order, each at its file's fixed width."""
-    out = []
-    for i in cache.scheme.cached_files():
-        width = _symbol_bytes(cache.scheme.q, cache.deltas[i])
-        out += [s.to_bytes(width, "big") for row in cache.symbols[i] for s in row]
-    return b"".join(out)
+    """The cached symbols in snapshot order, each at its file's fixed width:
+    per rate, the digits' bits left-padded to whole bytes and packed."""
+    m, parts = gf.field_degree(cache.scheme.q), {}
+    for k, files in cache.rate_files.items():
+        bits = gf.digit_bits(cache.words[k], m)
+        bits = np.pad(bits, [(0, 0)] * 3 + [(-bits.shape[-1] % 8, 0)])
+        parts.update(zip(files, np.packbits(bits, axis=-1).reshape(len(files), -1)))
+    return b"".join(parts[i].tobytes() for i in cache.scheme.cached_files())
 
 
 def save_snapshot(path: str, cache: EncodedCache) -> None:
@@ -246,12 +269,10 @@ def save_snapshot(path: str, cache: EncodedCache) -> None:
         "allow_full_spread": scheme.N_sbs in [m.denominator for m in scheme.mu if m],
     }
     hdr = json.dumps(header, sort_keys=True).encode()
+    data = b"".join([MAGIC, struct.pack(">I", len(hdr)), hdr,
+                     np.packbits(lib.bits, axis=-1).tobytes(), _symbol_body(cache)])
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack(">I", len(hdr)))
-        fh.write(hdr)
-        fh.write(np.packbits(lib.bits, axis=-1).tobytes())
-        fh.write(_symbol_body(cache))
+        fh.write(data + struct.pack(">I", zlib.crc32(data)))
 
 
 def load_snapshot(path: str) -> EncodedCache:
@@ -275,7 +296,7 @@ def load_snapshot(path: str) -> EncodedCache:
     missing = [k for k in spec.HEADER if k not in header]
     if missing:
         raise SnapshotError(f"snapshot header lacks {', '.join(missing)}")
-    body = data[end:]
+    body = data[end:]  # library bits, symbols, CRC
     F, beta, L = header["F"], header["beta"], header["L"]
     off = F * beta * ((L + 7) // 8)  # library bytes
     if min(F, beta, L) < 1 or off > len(body):
@@ -290,12 +311,14 @@ def load_snapshot(path: str) -> EncodedCache:
         raise SnapshotError(f"snapshot header does not describe a cache: {e}")
     if (cache.delta_max, cache.pad_bits) != (header["delta_max"], header["pad_bits"]):
         raise SnapshotError("snapshot header packing inconsistent with its library")
-    widths = {i: _symbol_bytes(scheme.q, d) for i, d in cache.deltas.items()}
-    expected = off + beta * scheme.N_sbs * sum(widths.values())
+    symbols = _symbol_body(cache)
+    expected = off + len(symbols) + 4
     if len(body) != expected:
         problem = "truncated" if len(body) < expected else "too long"
         raise SnapshotError(f"snapshot body {problem}: {len(body)} of {expected} bytes")
     # verify stored symbols match re-encoding (corruption check)
-    if body[off:] != _symbol_body(cache):
+    if body[off:-4] != symbols:
         raise SnapshotError("snapshot symbols inconsistent with library")
+    if zlib.crc32(data[:-4]) != int.from_bytes(data[-4:], "big"):
+        raise SnapshotError("snapshot checksum mismatch")
     return cache

@@ -32,13 +32,12 @@ from .topology import CoverageDistribution
 
 @dataclass
 class Network:
-    """A cache and its coverage, plus the plans and digit columns that its
-    sessions reuse, each built on first use (a plan draws no randomness)."""
+    """A cache and its coverage, plus the plans that its sessions reuse,
+    each built on first use (a plan draws no randomness)."""
 
     cache: EncodedCache
     gamma: list  # coverage distribution over the in-range SBS count b
     plans: dict = field(default_factory=dict, init=False, repr=False)
-    columns: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.gamma = CoverageDistribution(rates._gamma_list(self.gamma)).gamma
@@ -57,9 +56,7 @@ class Network:
 
     def column(self, c: int) -> np.ndarray:
         """Coordinate c's cache column (the MBS serves the same) as digits."""
-        if c not in self.columns:
-            self.columns[c] = self.cache.symbol_field.digits(self.cache.cache_column(c))
-        return self.columns[c]
+        return self.cache.columns[c]
 
 
 @dataclass(eq=False)

@@ -308,3 +308,96 @@ def test_random_library_matches_per_bit_draws(shape):
         lib = cache.FileLibrary.random(*shape, [1 / shape[0]] * shape[0], rng)
         assert lib.files == ref_random_library(ref, *shape)
         assert rng.integers(1 << 16, size=4).tolist() == ref.integers(1 << 16, size=4).tolist()
+
+
+def ref_symbol_body(enc):
+    """The snapshot's symbol bytes written one symbol at a time: each
+    symbol's int, big-endian, at ceil(delta_i * m / 8) bytes."""
+    m = gf.field_degree(enc.scheme.q)
+    return b"".join(s.to_bytes(-(-enc.deltas[i] * m // 8), "big")
+                    for i in enc.scheme.cached_files()
+                    for row in enc.symbols[i] for s in row)
+
+
+# (q, N_sbs, mu, L), each multi-rate and padded; the two symbol widths
+# are 10, 2; 12, 6; 18, 9; 16, 8; 15, 5; 160, 80 and 16, 8 bits
+WRITER_CASES = [
+    (2, 6, ["1", "0", "1/5"], 7),
+    (4, 3, ["1", "1/2", "1/2", "0"], 9),
+    (8, 6, ["1", "1", "1/2", "1/2", "0"], 13),
+    (16, 10, ["1/2", "1/4", "0"], 21),
+    (32, 6, ["1", "1/3", "0"], 11),
+    (256, 5, ["1", "1/2", "0"], 150),
+    (256, 5, ["1/2", "1/4", "0", "1/4"], 30),
+]
+
+
+@pytest.mark.parametrize("q,N,mu,L", WRITER_CASES)
+def test_snapshot_writer_matches_per_symbol_bytes(q, N, mu, L, tmp_path):
+    """The per-rate array writer gives the bytes of a per-symbol
+    int.to_bytes writer, and the snapshot round-trips."""
+    mu = [Fraction(m) for m in mu]
+    lib = cache.FileLibrary.random(len(mu), 3, L, [1 / len(mu)] * len(mu),
+                                   np.random.default_rng(q))
+    enc = cache.EncodedCache(lib, cache.CachingScheme(N, sum(mu), mu, q=q))
+    assert enc.pad_bits > 0 and len(enc.rate_files) == 2
+    assert cache._symbol_body(enc) == ref_symbol_body(enc)
+    path = tmp_path / "cache.epir"
+    cache.save_snapshot(str(path), enc)
+    loaded = cache.load_snapshot(str(path))
+    assert loaded.symbols == enc.symbols and loaded.messages == enc.messages
+
+
+def test_snapshot_refuses_every_cut_and_bit_flip(tmp_path):
+    """Every truncation and every single-bit flip of a small multi-rate
+    snapshot raises SnapshotError, flips in the bits of its uncached file
+    (which no stored symbol covers) included."""
+    mu = [Fraction(1), Fraction(1, 2), Fraction(0)]
+    lib = cache.FileLibrary.random(3, 1, 12, [0.5, 0.3, 0.2], np.random.default_rng(4))
+    path, bad = tmp_path / "cache.epir", tmp_path / "bad.epir"
+    cache.save_snapshot(str(path), cache.EncodedCache(lib, cache.CachingScheme(4, 2, mu, q=8)))
+    data = path.read_bytes()
+    assert len(data) < 400
+    for cut in range(len(data)):
+        bad.write_bytes(data[:cut])
+        with pytest.raises(cache.SnapshotError):
+            cache.load_snapshot(str(bad))
+    for pos in range(len(data)):
+        for bit in range(8):
+            flipped = bytearray(data)
+            flipped[pos] ^= 1 << bit
+            bad.write_bytes(flipped)
+            with pytest.raises(cache.SnapshotError):
+                cache.load_snapshot(str(bad))
+
+
+def test_write_path_builds_no_int_views(monkeypatch, tmp_path):
+    """Encoding, saving and loading a snapshot run on digit arrays: no
+    symbol or bit becomes a Python int, and no int view is built."""
+
+    def no_ints(*args):
+        raise AssertionError("the write path built an int view")
+
+    monkeypatch.setattr(gf, "bits_to_ints", no_ints)
+    monkeypatch.setattr(gf, "digit_ints", no_ints)
+    mu = [Fraction(1), Fraction(1, 2), Fraction(1, 2), Fraction(0)]
+    lib = cache.FileLibrary.random(4, 2, 20, [0.25] * 4, np.random.default_rng(2))
+    enc = cache.EncodedCache(lib, cache.CachingScheme(6, 2, mu, q=16))
+    path = tmp_path / "cache.epir"
+    cache.save_snapshot(str(path), enc)
+    loaded = cache.load_snapshot(str(path))
+    for obj in (lib, loaded.library, enc, loaded):
+        assert not {"files", "messages", "symbols"} & vars(obj).keys()
+    monkeypatch.undo()
+    assert loaded.library.files == lib.files and loaded.symbols == enc.symbols
+
+
+def test_columns_are_cache_columns_as_digits():
+    """Coordinate c's digit column is cache_column(c) as GF(q)^delta_max
+    digits, multi-rate, for every coordinate."""
+    mu = [Fraction(1, 2), Fraction(1), Fraction(0), Fraction(1, 2), Fraction(1)]
+    lib = cache.FileLibrary.random(5, 3, 10, [0.2] * 5, np.random.default_rng(6))
+    enc = cache.EncodedCache(lib, cache.CachingScheme(6, 3, mu, q=8))
+    assert enc.columns.shape == (6, 4 * 3, enc.delta_max)
+    for c in range(6):
+        assert enc.columns[c].tolist() == enc.symbol_field.digits(enc.cache_column(c)).tolist()

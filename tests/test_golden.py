@@ -27,9 +27,9 @@ MULTIRATE = {"library": {"F": 8, "beta": 4, "L": 128, "alpha": 0.7},
 CONFIGS = {"fig2": None, "medium": MEDIUM, "multirate": MULTIRATE}
 
 SNAPSHOT = {
-    "fig2": "facb03ade4cb504004aa31a669c1f212901d9161826dd7cc61352a50e342c62f",
-    "medium": "72ee3c846f5f708e61fb540c3e4f7881d3e364da8d6024bf87bb6f18ef52a152",
-    "multirate": "71398ac0308c52f8649d062b3fbf3721f714367b151b6bdb6d7987e1e4dc28a8",
+    "fig2": "48399a24cc722b7d54f2dc4c1081bb734d1581994b24377c0feb4f961cc1576d",
+    "medium": "39a2621896392f9d32c520affc2f909fed137221200b4fc130ec156324b9fea3",
+    "multirate": "f2530cf71611166a61ba591a22449610fb34e9eaa5725863cb146c1572cab6c4",
 }
 CACHE = {  # repr of the loaded cache's (messages, symbols)
     "fig2": "ee6b0d52429f94898ff02509cf72652384abffd2dd9c453cd4ab953f9193c0e2",
